@@ -2,27 +2,29 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, MalformedDocument, SchemaViolation
 from .importer import RemoteRepoRef
 from .registry import DEFAULT_FIELD_WEIGHTS
+from .textutil import check_fields, load_json
 
 DATA_DIR_ENV = "MOS_DATA_DIR"
 
-_KNOWN_KEYS = {
-    "listen",
-    "data_dir",
-    "profile_dir",
-    "remote_repos",
-    "expansion_depth",
-    "field_weights",
-    "network_timeout",
+# Every key of the config file is optional.
+_CONFIG_FIELDS = {
+    "listen": str,
+    "data_dir": str,
+    "profile_dir": (str, type(None)),
+    "remote_repos": list,
+    "expansion_depth": int,
+    "field_weights": dict,
+    "network_timeout": (int, float),
 }
+_REPO_FIELDS = {"name": str, "base_url": str}
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,20 @@ class ServerConfig:
     network_timeout: float = 10.0
 
 
-def _parse_listen(value: object) -> tuple[str, int]:
-    if not isinstance(value, str) or ":" not in value:
+def _read_document(raw: Path) -> dict:
+    try:
+        doc = check_fields(load_json(raw.read_bytes()), "$", {}, _CONFIG_FIELDS)
+        for i, entry in enumerate(doc.get("remote_repos", [])):
+            check_fields(entry, f"$.remote_repos[{i}]", _REPO_FIELDS, {})
+        weights = dict.fromkeys(DEFAULT_FIELD_WEIGHTS, (int, float))
+        check_fields(doc.get("field_weights", {}), "$.field_weights", {}, weights)
+    except (MalformedDocument, SchemaViolation) as exc:
+        raise ConfigError(f"config file {raw}: {exc}") from exc
+    return doc
+
+
+def _parse_listen(value: str) -> tuple[str, int]:
+    if ":" not in value:
         raise ConfigError(f"listen must be 'host:port', got {value!r}")
     host, _, port_text = value.rpartition(":")
     try:
@@ -60,15 +74,7 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
         raw = Path(path)
         if not raw.exists():
             raise ConfigError(f"config file {raw} does not exist")
-        try:
-            doc = json.loads(raw.read_text("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config file {raw} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config file {raw} must hold a JSON object")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+        doc = _read_document(raw)
 
     host, port = ("127.0.0.1", 8080)
     if "listen" in doc:
@@ -80,41 +86,28 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
 
     profile_dir = None
     if doc.get("profile_dir") is not None:
-        if not isinstance(doc["profile_dir"], str):
-            raise ConfigError("profile_dir must be a string path")
         profile_dir = Path(doc["profile_dir"])
 
     repos = []
     seen_names = set()
-    for i, entry in enumerate(doc.get("remote_repos", [])):
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"name", "base_url"}
-            or not isinstance(entry.get("name"), str)
-            or not isinstance(entry.get("base_url"), str)
-        ):
-            raise ConfigError(f"remote_repos[{i}] must be {{\"name\", \"base_url\"}}")
+    for entry in doc.get("remote_repos", []):
         if entry["name"] in seen_names:
             raise ConfigError(f"duplicate remote repo name {entry['name']!r}")
         seen_names.add(entry["name"])
         repos.append(RemoteRepoRef(entry["name"], entry["base_url"]))
 
     depth = doc.get("expansion_depth", 1)
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+    if depth < 1:
         raise ConfigError(f"expansion_depth must be an integer >= 1, got {depth!r}")
 
     weights = dict(DEFAULT_FIELD_WEIGHTS)
-    if "field_weights" in doc:
-        given = doc["field_weights"]
-        if not isinstance(given, dict) or set(given) - set(weights):
-            raise ConfigError("field_weights allows only name, operation, documentation")
-        for key, value in given.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                raise ConfigError(f"field weight {key!r} must be a positive number")
-            weights[key] = float(value)
+    for key, value in doc.get("field_weights", {}).items():
+        if value <= 0:
+            raise ConfigError(f"field weight {key!r} must be a positive number")
+        weights[key] = float(value)
 
     timeout = doc.get("network_timeout", 10.0)
-    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
+    if timeout <= 0:
         raise ConfigError(f"network_timeout must be a positive number, got {timeout!r}")
 
     return ServerConfig(

@@ -34,13 +34,12 @@ from .errors import (
     UnsupportedFeature,
 )
 from .ontology import TermId
-from .textutil import split_words
+from .textutil import LANGUAGE_RE, split_words
 
 SIMPLE_TYPES = ("string", "integer", "decimal", "boolean")
 FIELD_NAMES = ("name", "operation", "documentation")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._:-]*")
-_LANG_RE = re.compile(r"[a-z]{2,3}\Z")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 _MAX_DEPTH = 32
 # C0 controls other than tab/LF/CR may not appear anywhere in a document.
@@ -266,7 +265,7 @@ class _Reader:
 
 
 def _check_lang_attr(reader: _Reader, element: _Element, attr: str, value: str) -> str:
-    if not _LANG_RE.match(value):
+    if not LANGUAGE_RE.fullmatch(value):
         line, column = reader._location(element.pos)
         raise InvalidLanguageTag(
             f"bad language tag {value!r} in {attr} on <{element.name}>"
@@ -435,7 +434,7 @@ def _check_text(value: str, what: str):
 def validate_descriptor(descriptor: ServiceDescriptor):
     """Raise InvariantViolation unless the descriptor can be serialized."""
     d = descriptor
-    if not _LANG_RE.match(d.language):
+    if not LANGUAGE_RE.fullmatch(d.language):
         raise InvariantViolation(f"bad language tag {d.language!r}")
     for what, value in (("name", d.name), ("provider", d.provider)):
         if not value.strip():
@@ -449,7 +448,7 @@ def validate_descriptor(descriptor: ServiceDescriptor):
     for term, lang in d.category_terms:
         if not isinstance(term, TermId):
             raise InvariantViolation("category term must be a TermId")
-        if not _LANG_RE.match(lang):
+        if not LANGUAGE_RE.fullmatch(lang):
             raise InvariantViolation(f"bad category language tag {lang!r}")
     if not d.operations:
         raise InvariantViolation("a service must declare at least one operation")

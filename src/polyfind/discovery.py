@@ -24,8 +24,6 @@ from .ontology import OntologyStore, TermId, TermRef, resolve
 from .registry import BindingTicket, RegistryStore
 from .textutil import check_identifier, split_words
 
-_FIELD_RANK = {name: i for i, name in enumerate(("name", "operation", "documentation"))}
-
 # Optional hook used when the portion for the detected language is absent:
 # (domain, language) -> (possibly updated store, reports of performed imports)
 ImportHook = Callable[[str, str], tuple[OntologyStore, tuple[ImportReport, ...]]]
@@ -109,7 +107,7 @@ def _token_sources(
 
 def _provenance_key(entry: ProvenanceEntry):
     path_key = () if entry.path is None else tuple(str(h.target) for h in entry.path.hops)
-    return (entry.source, _FIELD_RANK[entry.field], path_key)
+    return (entry.source, reg.FIELD_RANK[entry.field], path_key)
 
 
 def _search_pass(
@@ -216,7 +214,11 @@ def select_and_bind(
     requester_id: str,
     registry_store: RegistryStore,
 ) -> BindingTicket:
-    """Bind one of the services named in a previous response."""
+    """Bind one of the services named in a previous response.
+
+    Library API: POST /bind takes any service id, so the server does not
+    call this.
+    """
     if service_id not in {entry.service_id for entry in response.results}:
         raise NotInResponse(f"service {service_id!r} is not part of this response")
     return reg.bind(registry_store, service_id, requester_id)

@@ -11,56 +11,43 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import ServerConfig
 from .descriptor import descriptor_to_dict
 from .discovery import Query, response_to_dict
-from .errors import PolyfindError, PortionNotFound, SchemaViolation
+from .errors import MalformedDocument, PolyfindError, PortionNotFound, SchemaViolation
 from .importer import report_to_dict
 from .ontology import load_portion, portion_to_dict
 from .registry import get as registry_get
 from .state import AppState
+from .textutil import check_fields, load_json
 
 log = logging.getLogger(__name__)
 
 _MAX_BODY = 16 * 1024 * 1024
 
 
-def _json_body(handler: "ApiHandler") -> object:
+def _read_body(handler: "ApiHandler") -> bytes:
+    """The request body, refused before reading when it has no usable
+    Content-Length or a larger one than _MAX_BODY."""
     length = handler.headers.get("Content-Length")
-    if length is None or not length.isdigit():
+    # isascii: str.isdigit also accepts digits such as "²" that int() rejects.
+    if length is None or not (length.isascii() and length.isdigit()):
         raise SchemaViolation("$", "request requires a Content-Length body")
     size = int(length)
     if size > _MAX_BODY:
         raise SchemaViolation("$", "request body too large")
-    raw = handler.rfile.read(size)
+    return handler.rfile.read(size)
+
+
+def _json_body(handler: "ApiHandler", required: dict, optional: dict) -> dict:
     try:
-        return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaViolation("$", f"body is not valid JSON: {exc}") from exc
-
-
-def _fields(doc: object, required: dict[str, type], optional: dict[str, type]) -> dict:
-    if not isinstance(doc, dict):
-        raise SchemaViolation("$", "body must be a JSON object")
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        raise SchemaViolation(f"$.{sorted(unknown)[0]}", "unknown field")
-    out = {}
-    for name, kind in required.items():
-        if name not in doc:
-            raise SchemaViolation(f"$.{name}", "missing field")
-        if not isinstance(doc[name], kind):
-            raise SchemaViolation(f"$.{name}", f"expected {kind.__name__}")
-        out[name] = doc[name]
-    for name, kind in optional.items():
-        if name in doc and doc[name] is not None:
-            if not isinstance(doc[name], kind):
-                raise SchemaViolation(f"$.{name}", f"expected {kind.__name__}")
-            out[name] = doc[name]
-    return out
+        doc = load_json(_read_body(handler))
+    except MalformedDocument as exc:
+        raise SchemaViolation("$", f"body is {exc}") from exc
+    return check_fields(doc, "$", required, optional)
 
 
 class ApiHandler(BaseHTTPRequestHandler):
@@ -133,14 +120,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, self.app.health())
 
     def handle_publish(self):
-        length = self.headers.get("Content-Length")
-        if length is None or not length.isdigit():
-            raise SchemaViolation("$", "request requires a Content-Length body")
-        size = int(length)
-        if size > _MAX_BODY:
-            raise SchemaViolation("$", "request body too large")
-        document = self.rfile.read(size)
-        service_id = self.app.publish_descriptor(document)
+        service_id = self.app.publish_descriptor(_read_body(self))
         self._send_json(201, {"service_id": service_id})
 
     def handle_get_service(self, service_id: str):
@@ -152,10 +132,8 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"service_id": service_id, "deleted": True})
 
     def handle_discover(self):
-        body = _fields(
-            _json_body(self),
-            required={"text": str, "domain": str, "requester_id": str},
-            optional={"language": str},
+        body = _json_body(
+            self, {"text": str, "domain": str, "requester_id": str}, {"language": (str, type(None))}
         )
         query = Query(
             text=body["text"],
@@ -166,22 +144,9 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, response_to_dict(self.app.discover(query)))
 
     def handle_bind(self):
-        body = _fields(
-            _json_body(self),
-            required={"service_id": str, "requester_id": str},
-            optional={},
-        )
+        body = _json_body(self, {"service_id": str, "requester_id": str}, {})
         ticket = self.app.bind_service(body["service_id"], body["requester_id"])
-        self._send_json(
-            200,
-            {
-                "ticket_id": ticket.ticket_id,
-                "service_id": ticket.service_id,
-                "requester_id": ticket.requester_id,
-                "endpoint": ticket.endpoint,
-                "issued_at": ticket.issued_at,
-            },
-        )
+        self._send_json(200, asdict(ticket))
 
     def handle_list_portions(self):
         portions = self.app.snapshot().ontology.portions
@@ -198,11 +163,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, portion_to_dict(portion))
 
     def handle_put_portion(self, domain: str, language: str):
-        length = self.headers.get("Content-Length")
-        if length is None or not length.isdigit():
-            raise SchemaViolation("$", "request requires a Content-Length body")
-        document = self.rfile.read(int(length))
-        portion = load_portion(document)
+        portion = load_portion(_read_body(self))
         if portion.domain != domain or portion.language != language:
             raise SchemaViolation(
                 "$", f"body holds {portion.domain}.{portion.language}, path says {domain}.{language}"
@@ -213,11 +174,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         )
 
     def handle_import(self):
-        body = _fields(
-            _json_body(self),
-            required={"repo": str, "domain": str, "language": str},
-            optional={},
-        )
+        body = _json_body(self, {"repo": str, "domain": str, "language": str}, {})
         report = self.app.import_portion(
             body["repo"], body["domain"], body["language"], wait=False
         )
@@ -241,9 +198,3 @@ def make_server(config: ServerConfig) -> ApiServer:
     app = AppState(config)
     server = ApiServer((config.host, config.port), app)
     return server
-
-
-def run_in_thread(server: ApiServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread

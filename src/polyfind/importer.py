@@ -10,7 +10,6 @@ returns a fully updated store or raises, never a partial state.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import urllib.error
 import urllib.request
@@ -34,6 +33,7 @@ from .ontology import (
     set_portion,
     validate_portion,
 )
+from .textutil import check_fields, load_json
 
 log = logging.getLogger(__name__)
 
@@ -92,40 +92,27 @@ def _fetch(url: str, timeout: float) -> bytes:
     raise RepoUnreachable(f"GET {url} failed: {last}") from last
 
 
-def fetch_catalog(repo: RemoteRepoRef, timeout: float = DEFAULT_TIMEOUT) -> list[dict]:
+_CATALOG_FIELDS = {"portions": list}
+_CATALOG_ENTRY_FIELDS = {"domain": str, "language": str, "version": int}
+
+
+def list_remote(repo: RemoteRepoRef, timeout: float = DEFAULT_TIMEOUT) -> list[tuple[str, str, int]]:
+    """Portions a repository's catalog offers, as (domain, language, version).
+
+    Library API: the server itself imports by name and never reads catalogs.
+    """
     url = f"{repo.base_url.rstrip('/')}/catalog.json"
     try:
         data = _fetch(url, timeout)
     except _NotFound as exc:
         raise RepoUnreachable(f"repository {repo.name!r} has no catalog.json") from exc
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedCatalog(f"catalog of {repo.name!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"portions"} or not isinstance(
-        doc["portions"], list
-    ):
-        raise MalformedCatalog(f"catalog of {repo.name!r} must be {{\"portions\": [...]}}")
-    entries = []
-    for i, entry in enumerate(doc["portions"]):
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"domain", "language", "version"}
-            or not isinstance(entry.get("domain"), str)
-            or not isinstance(entry.get("language"), str)
-            or not isinstance(entry.get("version"), int)
-            or isinstance(entry.get("version"), bool)
-        ):
-            raise MalformedCatalog(
-                f"catalog entry {i} of {repo.name!r} must carry domain, language, version"
-            )
-        entries.append(entry)
-    return entries
-
-
-def list_remote(repo: RemoteRepoRef, timeout: float = DEFAULT_TIMEOUT) -> list[tuple[str, str, int]]:
-    """Portions a repository offers, as (domain, language, version) tuples."""
-    return [(e["domain"], e["language"], e["version"]) for e in fetch_catalog(repo, timeout)]
+        doc = check_fields(load_json(data), "$", _CATALOG_FIELDS, {})
+        for i, entry in enumerate(doc["portions"]):
+            check_fields(entry, f"$.portions[{i}]", _CATALOG_ENTRY_FIELDS, {})
+    except (MalformedDocument, SchemaViolation) as exc:
+        raise MalformedCatalog(f"catalog of {repo.name!r}: {exc}") from exc
+    return [(e["domain"], e["language"], e["version"]) for e in doc["portions"]]
 
 
 def fetch_portion_docs(
@@ -224,7 +211,11 @@ def import_portion(
     store: OntologyStore,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[OntologyStore, ImportReport]:
-    """Fetch and merge in one call."""
+    """Fetch and merge in one call.
+
+    Library API: the server fetches and merges in two steps instead, so that
+    it can fetch outside its write lock.
+    """
     return merge_portion(store, fetch_portion_docs(repo, domain, language, timeout))
 
 

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorpusTooSmall, EmptyInput, MalformedDocument, NoProfiles, SchemaViolation
-from .textutil import check_language, normalize_text
+from .errors import CorpusTooSmall, EmptyInput, NoProfiles, SchemaViolation
+from .textutil import check_fields, check_language, load_json, normalize_text
 
 PROFILE_SIZE = 300
 ABSENT_PENALTY = 301
@@ -139,26 +139,24 @@ def detect(
 
 # --- profile persistence and corpus loading ---
 
+_PROFILE_FIELDS = {"language": str, "ranked_trigrams": list}
+
 
 def profile_to_json(profile: TrigramProfile) -> bytes:
+    """The document profile_from_json reads back.
+
+    Library API: saves a built profile so that a profile directory can hold
+    it in place of its corpus; the server only reads such files.
+    """
     doc = {"language": profile.language, "ranked_trigrams": list(profile.ranked_trigrams)}
     return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode()
 
 
 def profile_from_json(data: bytes) -> TrigramProfile:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedDocument(f"bad profile document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaViolation("$", "expected an object")
-    if set(doc) != {"language", "ranked_trigrams"}:
-        raise SchemaViolation("$", "expected exactly language and ranked_trigrams")
+    doc = check_fields(load_json(data), "$", _PROFILE_FIELDS, {})
     language = doc["language"]
     trigrams = doc["ranked_trigrams"]
-    if not isinstance(language, str):
-        raise SchemaViolation("$.language", "expected a string")
-    if not isinstance(trigrams, list) or not all(isinstance(t, str) for t in trigrams):
+    if not all(isinstance(t, str) for t in trigrams):
         raise SchemaViolation("$.ranked_trigrams", "expected an array of strings")
     if len(trigrams) > PROFILE_SIZE:
         raise SchemaViolation("$.ranked_trigrams", f"more than {PROFILE_SIZE} entries")

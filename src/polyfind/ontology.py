@@ -18,18 +18,25 @@ from .errors import (
     DuplicateId,
     InvalidIdentifier,
     InvariantViolation,
-    MalformedDocument,
     SameLanguage,
     SchemaViolation,
     UnknownTerm,
 )
-from .textutil import check_identifier, check_language, normalize_text
+from .textutil import (
+    IDENTIFIER_RE,
+    LANGUAGE_RE,
+    check_fields,
+    check_identifier,
+    check_language,
+    load_json,
+    normalize_text,
+)
 
 __all__ = [
     "TermId", "Relation", "Term", "OntologyPortion", "TermRef", "AlignmentLink",
     "OntologyStore", "Violation", "RELATION_KINDS", "ALIGNMENT_RELATIONS",
-    "create_portion", "add_term", "add_terms", "add_label", "lookup_label",
-    "lookup_label_kinds", "validate_portion", "portion_to_dict", "save_portion",
+    "create_portion", "add_term", "add_terms", "add_label", "lookup_label_kinds",
+    "validate_portion", "portion_to_dict", "save_portion",
     "load_portion", "empty_store", "resolve", "require_term", "set_portion",
     "add_alignment", "links_from", "iter_links", "save_alignments", "load_alignments",
 ]
@@ -38,7 +45,7 @@ RELATION_KINDS = ("broader", "narrower", "related")
 _INVERSE = {"broader": "narrower", "narrower": "broader"}
 ALIGNMENT_RELATIONS = ("exact", "close")
 
-_TERM_ID_RE = re.compile(r"([A-Za-z0-9_-]+)#([A-Za-z0-9_-]+)\Z")
+_TERM_ID_RE = re.compile(rf"({IDENTIFIER_RE.pattern})#({IDENTIFIER_RE.pattern})\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -163,10 +170,6 @@ def lookup_label_kinds(portion: OntologyPortion, label: str) -> list[tuple[TermI
         elif any(normalize_text(alt) == key for alt in term.alt_labels):
             hits.append((tid, "alt"))
     return hits
-
-
-def lookup_label(portion: OntologyPortion, label: str) -> list[TermId]:
-    return [tid for tid, _ in lookup_label_kinds(portion, label)]
 
 
 # --- structural validation ---
@@ -299,83 +302,63 @@ def save_portion(portion: OntologyPortion) -> bytes:
     return (json.dumps(portion_to_dict(portion), ensure_ascii=False, indent=2) + "\n").encode()
 
 
-def _load_json(data: bytes) -> object:
+# Document shapes; every key is required.
+_PORTION_FIELDS = {"domain": str, "language": str, "version": int, "terms": list}
+_TERM_FIELDS = {
+    "id": str,
+    "preferred_label": str,
+    "alt_labels": list,
+    "definition": (str, type(None)),
+    "relations": list,
+}
+_RELATION_FIELDS = {"kind": str, "target": str}
+_ALIGNMENTS_FIELDS = {"links": list}
+_LINK_FIELDS = {"source": dict, "target": dict, "relation": str, "confidence": (int, float)}
+_REF_FIELDS = {"term": str, "lang": str}
+
+
+def _parse_term_id(value: str, path: str) -> TermId:
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"not valid UTF-8: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-
-
-def _expect(value: object, kind: type, path: str, what: str) -> object:
-    # bool is an int subclass; never acceptable where a number is expected.
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaViolation(path, f"expected {what}")
-    return value
-
-
-def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()) -> None:
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise SchemaViolation(f"{path}.{sorted(unknown)[0]}", "unknown field")
-    missing = required - set(obj)
-    if missing:
-        raise SchemaViolation(f"{path}.{sorted(missing)[0]}", "missing field")
-
-
-def _parse_term_id(value: object, path: str) -> TermId:
-    _expect(value, str, path, "a string")
-    try:
-        return TermId.parse(value)  # type: ignore[arg-type]
+        return TermId.parse(value)
     except InvalidIdentifier as exc:
         raise SchemaViolation(path, str(exc)) from exc
 
 
 def load_portion(data: bytes) -> OntologyPortion:
     """Parse and schema-check a portion document. Unknown fields are errors."""
-    doc = _load_json(data)
-    _expect(doc, dict, "$", "an object")
-    _expect_keys(doc, "$", {"domain", "language", "version", "terms"})
-    domain = _expect(doc["domain"], str, "$.domain", "a string")
-    language = _expect(doc["language"], str, "$.language", "a string")
-    version = _expect(doc["version"], int, "$.version", "an integer")
+    doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
+    domain, language, version = doc["domain"], doc["language"], doc["version"]
     if version < 1:
         raise SchemaViolation("$.version", "must be >= 1")
-    if not re.fullmatch(r"[A-Za-z0-9_-]+", domain):
+    if not IDENTIFIER_RE.fullmatch(domain):
         raise SchemaViolation("$.domain", f"bad domain {domain!r}")
-    if not re.fullmatch(r"[a-z]{2,3}", language):
+    if not LANGUAGE_RE.fullmatch(language):
         raise SchemaViolation("$.language", f"bad language tag {language!r}")
-    _expect(doc["terms"], list, "$.terms", "an array")
     terms: dict[TermId, Term] = {}
     for i, entry in enumerate(doc["terms"]):
         path = f"$.terms[{i}]"
-        _expect(entry, dict, path, "an object")
-        _expect_keys(entry, path, {"id", "preferred_label", "alt_labels", "definition", "relations"})
+        check_fields(entry, path, _TERM_FIELDS, {})
         tid = _parse_term_id(entry["id"], f"{path}.id")
         if tid in terms:
             raise SchemaViolation(f"{path}.id", f"duplicate term id {tid}")
-        preferred = _expect(entry["preferred_label"], str, f"{path}.preferred_label", "a string")
-        _expect(entry["alt_labels"], list, f"{path}.alt_labels", "an array")
-        alts = []
         for j, alt in enumerate(entry["alt_labels"]):
-            alts.append(_expect(alt, str, f"{path}.alt_labels[{j}]", "a string"))
-        definition = entry["definition"]
-        if definition is not None:
-            _expect(definition, str, f"{path}.definition", "a string or null")
-        _expect(entry["relations"], list, f"{path}.relations", "an array")
+            if not isinstance(alt, str):
+                raise SchemaViolation(f"{path}.alt_labels[{j}]", "expected a string")
         relations = []
         for j, rel in enumerate(entry["relations"]):
             rpath = f"{path}.relations[{j}]"
-            _expect(rel, dict, rpath, "an object")
-            _expect_keys(rel, rpath, {"kind", "target"})
-            kind = _expect(rel["kind"], str, f"{rpath}.kind", "a string")
-            if kind not in RELATION_KINDS:
+            check_fields(rel, rpath, _RELATION_FIELDS, {})
+            if rel["kind"] not in RELATION_KINDS:
                 raise SchemaViolation(f"{rpath}.kind", f"must be one of {RELATION_KINDS}")
-            relations.append(Relation(kind, _parse_term_id(rel["target"], f"{rpath}.target")))
-        terms[tid] = Term(tid, preferred, tuple(alts), definition, tuple(relations))
+            target = _parse_term_id(rel["target"], f"{rpath}.target")
+            relations.append(Relation(rel["kind"], target))
+        terms[tid] = Term(
+            tid,
+            entry["preferred_label"],
+            tuple(entry["alt_labels"]),
+            entry["definition"],
+            tuple(relations),
+        )
     return OntologyPortion(domain, language, version, terms)
 
 
@@ -509,30 +492,22 @@ def save_alignments(links: Iterable[AlignmentLink]) -> bytes:
 
 
 def _parse_ref(value: object, path: str) -> TermRef:
-    _expect(value, dict, path, "an object")
-    _expect_keys(value, path, {"term", "lang"})
-    lang = _expect(value["lang"], str, f"{path}.lang", "a string")
-    if not re.fullmatch(r"[a-z]{2,3}", lang):
+    check_fields(value, path, _REF_FIELDS, {})
+    lang = value["lang"]
+    if not LANGUAGE_RE.fullmatch(lang):
         raise SchemaViolation(f"{path}.lang", f"bad language tag {lang!r}")
     return TermRef(_parse_term_id(value["term"], f"{path}.term"), lang)
 
 
 def load_alignments(data: bytes) -> list[AlignmentLink]:
-    doc = _load_json(data)
-    _expect(doc, dict, "$", "an object")
-    _expect_keys(doc, "$", {"links"})
-    _expect(doc["links"], list, "$.links", "an array")
+    doc = check_fields(load_json(data), "$", _ALIGNMENTS_FIELDS, {})
     links: list[AlignmentLink] = []
     for i, entry in enumerate(doc["links"]):
         path = f"$.links[{i}]"
-        _expect(entry, dict, path, "an object")
-        _expect_keys(entry, path, {"source", "target", "relation", "confidence"})
-        relation = _expect(entry["relation"], str, f"{path}.relation", "a string")
+        check_fields(entry, path, _LINK_FIELDS, {})
+        relation, confidence = entry["relation"], entry["confidence"]
         if relation not in ALIGNMENT_RELATIONS:
             raise SchemaViolation(f"{path}.relation", f"must be one of {ALIGNMENT_RELATIONS}")
-        confidence = entry["confidence"]
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-            raise SchemaViolation(f"{path}.confidence", "expected a number")
         if not 0.0 < confidence <= 1.0:
             raise SchemaViolation(f"{path}.confidence", "must be in (0, 1]")
         links.append(

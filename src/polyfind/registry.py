@@ -25,7 +25,7 @@ from .textutil import normalize_text
 
 DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
-_FIELD_RANK = {name: i for i, name in enumerate(FIELD_NAMES)}
+FIELD_RANK = {name: i for i, name in enumerate(FIELD_NAMES)}
 
 
 @dataclass(frozen=True)
@@ -110,13 +110,16 @@ def remove(store: RegistryStore, service_id: str) -> RegistryStore:
 
 
 def registry_from_descriptors(
-    published: Iterable[ServiceDescriptor], last_seq: int | None = None
+    published: Iterable[ServiceDescriptor], last_seq: int = 0
 ) -> RegistryStore:
-    """Rebuild a store from already-published descriptors (ids assigned)."""
+    """Rebuild a store from already-published descriptors (ids assigned).
+
+    The store's last_seq is `last_seq` raised to the highest sequence number
+    among the ids, so a stale `last_seq` never makes publish reuse an id.
+    """
     descriptors: dict[str, ServiceDescriptor] = {}
     postings: dict[str, dict[str, dict[str, int]]] = {}
     langs: dict[str, int] = {}
-    max_seq = 0
     for d in published:
         if not d.service_id:
             raise InvariantViolation("descriptor has no service id")
@@ -128,8 +131,8 @@ def registry_from_descriptors(
         langs[d.language] = langs.get(d.language, 0) + 1
         tail = d.service_id.rsplit("-", 1)[-1]
         if tail.isdigit():
-            max_seq = max(max_seq, int(tail))
-    return RegistryStore(descriptors, postings, langs, max_seq if last_seq is None else last_seq)
+            last_seq = max(last_seq, int(tail))
+    return RegistryStore(descriptors, postings, langs, last_seq)
 
 
 def languages(store: RegistryStore) -> list[str]:
@@ -183,7 +186,7 @@ def find(
                 service_id=sid,
                 score=score,
                 matched_tokens=tuple(
-                    sorted(matched, key=lambda m: (m[0], _FIELD_RANK[m[1]]))
+                    sorted(matched, key=lambda m: (m[0], FIELD_RANK[m[1]]))
                 ),
                 language=store.descriptors[sid].language,
             )

@@ -23,7 +23,7 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import importer as imp
@@ -41,11 +41,12 @@ from .errors import (
 )
 from .langdetect import TrigramProfile, load_profiles, packaged_corpora_dir
 from .registry import BindingTicket
+from .textutil import IDENTIFIER_RE, LANGUAGE_RE
 
 log = logging.getLogger(__name__)
 
 _SERVICE_FILE_RE = re.compile(r"(s-\d{6,})\.xml\Z")
-_PORTION_FILE_RE = re.compile(r"([A-Za-z0-9_-]+)\.([a-z]{2,3})\.json\Z")
+_PORTION_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.({LANGUAGE_RE.pattern})\.json\Z")
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,7 @@ def load_snapshot(data_dir: Path) -> Snapshot:
         if not text.isdigit():
             raise StartupError(f"corrupt seq file {seq_path}: {text!r}")
         seq = int(text)
-    max_id = max(
-        (int(d.service_id.rsplit("-", 1)[-1]) for d in descriptors), default=0
-    )
-    registry_store = reg.registry_from_descriptors(descriptors, last_seq=max(seq, max_id))
+    registry_store = reg.registry_from_descriptors(descriptors, last_seq=seq)
     return Snapshot(store, registry_store)
 
 
@@ -242,16 +240,7 @@ class AppState:
     def bind_service(self, service_id: str, requester_id: str) -> BindingTicket:
         with self._lock:
             ticket = reg.bind(self._snapshot.registry, service_id, requester_id)
-            line = json.dumps(
-                {
-                    "ticket_id": ticket.ticket_id,
-                    "service_id": ticket.service_id,
-                    "requester_id": ticket.requester_id,
-                    "endpoint": ticket.endpoint,
-                    "issued_at": ticket.issued_at,
-                },
-                ensure_ascii=False,
-            )
+            line = json.dumps(asdict(ticket), ensure_ascii=False)
             journal = self.data_dir / "bindings.log"
             with open(journal, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")

@@ -1,23 +1,43 @@
-"""Unicode text normalization and word splitting.
+"""Unicode text normalization, word splitting, and the input-format rules.
 
 Everything that compares text anywhere in the package (labels, queries,
 index tokens, detector input) goes through normalize_text, so equality is
 always up to NFC, case folding, and Arabic vocalization.
+
+This module also owns every rule that outside input is checked against:
+the identifier and language-tag formats (IDENTIFIER_RE, LANGUAGE_RE), JSON
+decoding (load_json) and the shape of JSON objects (check_fields). Portions,
+alignments, descriptors, profiles, configuration, catalogs and HTTP bodies
+are all checked through them, so one rule cannot drift between inputs.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import unicodedata
+from typing import Mapping
 
-from .errors import InvalidIdentifier, InvalidLanguageTag
+from .errors import InvalidIdentifier, InvalidLanguageTag, MalformedDocument, SchemaViolation
 
 # Arabic tashkeel (U+064B..U+0652) and tatweel (U+0640): optional marks that
 # must not distinguish otherwise-equal words.
 _STRIP = {cp: None for cp in [0x0640, *range(0x064B, 0x0653)]}
 
-_IDENT_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
-_LANG_RE = re.compile(r"[a-z]{2,3}\Z")
+# Match whole strings with fullmatch; other patterns embed .pattern.
+IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_-]+")
+LANGUAGE_RE = re.compile(r"[a-z]{2,3}")
+
+# The kinds check_fields accepts, each an isinstance() argument, and their
+# names in errors.
+_KIND_NAMES = {
+    str: "a string",
+    int: "an integer",
+    (int, float): "a number",
+    list: "an array",
+    dict: "a JSON object",
+    (str, type(None)): "a string or null",
+}
 
 
 def normalize_text(text: str) -> str:
@@ -80,14 +100,54 @@ def split_words(text: str) -> list[str]:
 
 
 def check_identifier(value: str, what: str = "identifier") -> str:
-    """Validate a domain or local-name identifier ([A-Za-z0-9_-]+)."""
-    if not isinstance(value, str) or not _IDENT_RE.match(value):
-        raise InvalidIdentifier(f"{what} {value!r} must match [A-Za-z0-9_-]+")
+    """Validate a domain or local-name identifier (IDENTIFIER_RE)."""
+    if not isinstance(value, str) or not IDENTIFIER_RE.fullmatch(value):
+        raise InvalidIdentifier(f"{what} {value!r} must match {IDENTIFIER_RE.pattern}")
     return value
 
 
 def check_language(tag: str) -> str:
-    """Validate a lowercase two- or three-letter language tag."""
-    if not isinstance(tag, str) or not _LANG_RE.match(tag):
-        raise InvalidLanguageTag(f"language tag {tag!r} must match [a-z]{{2,3}}")
+    """Validate a lowercase two- or three-letter language tag (LANGUAGE_RE)."""
+    if not isinstance(tag, str) or not LANGUAGE_RE.fullmatch(tag):
+        raise InvalidLanguageTag(f"language tag {tag!r} must match {LANGUAGE_RE.pattern}")
     return tag
+
+
+def load_json(data: bytes) -> object:
+    """Decode a UTF-8 JSON document; MalformedDocument when it is neither."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not valid UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from exc
+
+
+def check_fields(doc: object, path: str, required: Mapping, optional: Mapping) -> dict:
+    """Check that `doc` is a JSON object with the given keys; return it.
+
+    `required` and `optional` map each allowed key to its kind: str, int,
+    (int, float) for any number, list, dict, or (str, type(None)) for a
+    string or null. JSON true/false is none of these, although Python's bool
+    is an int. The first problem raises SchemaViolation at its path, in this
+    order: not an object, an unknown key, a missing required key, a value of
+    the wrong kind (in the document's key order).
+    """
+    if not isinstance(doc, dict):
+        raise SchemaViolation(path, f"expected {_KIND_NAMES[dict]}")
+    # Most documents hold exactly the required keys; the set arithmetic
+    # below would double the cost of checking each of a portion's terms.
+    if doc.keys() != required.keys():
+        unknown = doc.keys() - required.keys() - optional.keys()
+        if unknown:
+            raise SchemaViolation(f"{path}.{min(unknown)}", "unknown field")
+        missing = required.keys() - doc.keys()
+        if missing:
+            raise SchemaViolation(f"{path}.{min(missing)}", "missing field")
+    for key, value in doc.items():
+        kind = required[key] if key in required else optional[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaViolation(f"{path}.{key}", f"expected {_KIND_NAMES[kind]}")
+    return doc

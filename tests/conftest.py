@@ -100,7 +100,14 @@ def fixture_registry():
     return build_fixture_registry()
 
 
-# --- local fixture repository served over HTTP ---
+# --- servers on background threads ---
+
+
+def run_in_thread(server) -> threading.Thread:
+    """Serve `server` on a daemon thread until its shutdown() is called."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
 
 
 class _QuietHandler(http.server.SimpleHTTPRequestHandler):

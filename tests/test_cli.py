@@ -6,7 +6,7 @@ import pytest
 
 from polyfind.cli import main
 from polyfind.config import ServerConfig
-from polyfind.httpserver import make_server, run_in_thread
+from polyfind.httpserver import make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.ontology import (
     OntologyPortion,
@@ -18,7 +18,7 @@ from polyfind.ontology import (
     save_portion,
 )
 
-from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, HELDOUT_DIR, PORTION_FILES
+from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, HELDOUT_DIR, PORTION_FILES, run_in_thread
 
 AR_TEXT = "الجذر التربيعي"
 

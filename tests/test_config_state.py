@@ -93,6 +93,9 @@ class TestLoadConfig:
         {"network_timeout": 0},
         {"network_timeout": "fast"},
         {"network_timeout": False},
+        {"remote_repos": 5},
+        {"remote_repos": None},
+        {"data_dir": 5},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):

@@ -30,7 +30,6 @@ from polyfind.ontology import (
     links_from,
     load_alignments,
     load_portion,
-    lookup_label,
     lookup_label_kinds,
     save_alignments,
     save_portion,
@@ -132,7 +131,7 @@ class TestAddLabel:
 
 class TestLookupLabel:
     def test_preferred_case_insensitive(self):
-        assert lookup_label(small_portion(), "Square Root") == [SQ]
+        assert lookup_label_kinds(small_portion(), "Square Root") == [(SQ, "preferred")]
 
     def test_alt_label_kind(self):
         assert lookup_label_kinds(small_portion(), "sqrt") == [(SQ, "alt")]
@@ -140,14 +139,16 @@ class TestLookupLabel:
     def test_arabic_fixture_label(self):
         portion = load_portion(PORTION_FILES[0].read_bytes())
         assert portion.language == "ar"
-        assert lookup_label(portion, "الجذر التربيعي") == [SQ]
+        assert lookup_label_kinds(portion, "الجذر التربيعي") == [(SQ, "preferred")]
 
     def test_no_match(self):
-        assert lookup_label(small_portion(), "banana") == []
+        assert lookup_label_kinds(small_portion(), "banana") == []
 
     def test_whitespace_invariant(self):
         portion = small_portion()
-        assert lookup_label(portion, "  square   root ") == lookup_label(portion, "square root")
+        assert lookup_label_kinds(portion, "  square   root ") == lookup_label_kinds(
+            portion, "square root"
+        )
 
 
 class TestValidatePortion:

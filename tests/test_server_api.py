@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from polyfind.config import ServerConfig
-from polyfind.httpserver import ApiServer, make_server, run_in_thread
+from polyfind.httpserver import ApiServer, make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.ontology import (
     Relation,
@@ -16,9 +16,17 @@ from polyfind.ontology import (
     save_portion,
 )
 
-from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, PORTION_FILES
+from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, PORTION_FILES, run_in_thread
 
 AR_TEXT = "الجذر التربيعي"
+
+# Every route that reads a request body goes through the same size and
+# Content-Length checks.
+BODY_ROUTES = pytest.mark.parametrize("method, path", [
+    ("POST", "/services"),
+    ("POST", "/discover"),
+    ("PUT", "/portions/math/en"),
+], ids=["publish", "discover", "put_portion"])
 
 
 def request(address, method, path, body=None, content_length=None):
@@ -142,13 +150,23 @@ class TestServices:
         assert response.status == 400
         assert doc["error"] == "SchemaViolation"
 
-    def test_oversized_body_rejected_without_reading(self, api):
+    @BODY_ROUTES
+    def test_oversized_body_rejected_without_reading(self, api, method, path):
         status, doc = request(
-            api, "POST", "/services", content_length=17 * 1024 * 1024
+            api, method, path, content_length=17 * 1024 * 1024
         )
         assert status == 400
         assert doc["error"] == "SchemaViolation"
         assert "too large" in doc["detail"]
+
+    @BODY_ROUTES
+    @pytest.mark.parametrize(
+        "length", ["²", "-1", "1e3"], ids=["superscript_two", "negative", "exponent"]
+    )
+    def test_unusable_content_length_rejected(self, api, method, path, length):
+        status, doc = request(api, method, path, content_length=length)
+        assert status == 400
+        assert doc["error"] == "SchemaViolation"
 
 
 class TestDiscoverAndBind:

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyfind.errors import InvalidIdentifier, InvalidLanguageTag
+from polyfind.descriptor import parse_descriptor
+from polyfind.errors import InvalidIdentifier, InvalidLanguageTag, PolyfindError
+from polyfind.langdetect import profile_from_json
+from polyfind.ontology import load_alignments, load_portion
 from polyfind.textutil import check_identifier, check_language, normalize_text, split_words
 
 
@@ -89,3 +94,53 @@ class TestCheckers:
     def test_language_bad(self, bad):
         with pytest.raises(InvalidLanguageTag):
             check_language(bad)
+
+
+def _descriptor(xml_lang="en", category_lang="en") -> bytes:
+    return (
+        f'<service xml:lang="{xml_lang}" name="S" provider="P" endpoint="https://x.example/s">'
+        "<documentation>d</documentation>"
+        f'<category term="math#root" lang="{category_lang}"/>'
+        '<operation name="op"><documentation>d</documentation><output type="string"/></operation>'
+        "</service>"
+    ).encode("utf-8")
+
+
+def _json(doc) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+# Every place a language tag arrives from outside, fed one tag.
+LANGUAGE_TAG_ENTRY_POINTS = {
+    "check_language": check_language,
+    "descriptor xml:lang": lambda tag: parse_descriptor(_descriptor(xml_lang=tag)),
+    "descriptor category lang": lambda tag: parse_descriptor(_descriptor(category_lang=tag)),
+    "portion $.language": lambda tag: load_portion(
+        _json({"domain": "math", "language": tag, "version": 1, "terms": []})
+    ),
+    "alignment ref lang": lambda tag: load_alignments(_json({"links": [{
+        "source": {"term": "math#root", "lang": tag},
+        "target": {"term": "math#root", "lang": "zz"},
+        "relation": "exact",
+        "confidence": 1.0,
+    }]})),
+    "profile_from_json": lambda tag: profile_from_json(
+        _json({"language": tag, "ranked_trigrams": []})
+    ),
+}
+
+
+@pytest.mark.parametrize("tag, valid", [
+    ("en", True), ("ara", True),
+    ("EN", False), ("e", False), ("engl", False), ("en-US", False), ("é", False),
+])
+def test_every_entry_point_applies_one_language_tag_rule(tag, valid):
+    accepted = {}
+    for name, entry in LANGUAGE_TAG_ENTRY_POINTS.items():
+        try:
+            entry(tag)
+        except PolyfindError:
+            accepted[name] = False
+        else:
+            accepted[name] = True
+    assert accepted == dict.fromkeys(LANGUAGE_TAG_ENTRY_POINTS, valid)
