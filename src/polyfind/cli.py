@@ -16,7 +16,7 @@ from .config import load_config
 from .errors import PolyfindError, SameLanguage
 from .httpserver import make_server
 from .langdetect import detect, load_profiles, packaged_corpora_dir
-from .textutil import check_language
+from .textutil import DIGITS_RE, check_language
 
 DEFAULT_SERVER = "http://127.0.0.1:8080"
 
@@ -108,7 +108,7 @@ def cmd_discover(args) -> int:
         raw = input(f"select [1-{len(results)}, empty to skip]: ").strip()
         if not raw:
             return 0
-        if not raw.isdigit():
+        if not DIGITS_RE.fullmatch(raw):
             raise CliError(f"selection {raw!r} is not a number")
         selection = int(raw)
     if selection is None:

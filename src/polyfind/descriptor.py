@@ -1,4 +1,4 @@
-"""Service descriptors: a small XML dialect, parsed and serialized by hand.
+"""Service descriptors: a small XML dialect, read with expat and written by hand.
 
 The accepted grammar is exactly:
 
@@ -12,17 +12,24 @@ The accepted grammar is exactly:
       </operation>+
     </service>
 
-plus an optional leading XML declaration and comments. DTDs, processing
-instructions, CDATA, and foreign namespaces are rejected as unsupported
-rather than coerced. Five named entities are recognized. Errors carry the
-line and column of the offending byte.
+plus an optional leading XML declaration and comments. The standard
+library's expat reads the document as UTF-8, whatever its declaration says.
+A DOCTYPE, processing instructions, CDATA sections and foreign namespaces are
+rejected as unsupported rather than coerced; without a DOCTYPE no entity but
+XML's five predefined ones exists. XML 1.0's rules apply: character
+references decode, line ends in text become LF, and tab, CR and LF in
+attribute values become spaces. Errors carry the line and the 1-based column
+of the offending construct.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 from urllib.parse import urlsplit
+from xml.parsers import expat
 
 from .errors import (
     InvalidIdentifier,
@@ -39,11 +46,11 @@ from .textutil import LANGUAGE_RE, split_words
 SIMPLE_TYPES = ("string", "integer", "decimal", "boolean")
 FIELD_NAMES = ("name", "operation", "documentation")
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._:-]*")
-_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 _MAX_DEPTH = 32
-# C0 controls other than tab/LF/CR may not appear anywhere in a document.
-_BAD_CONTROL_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
+# Characters XML 1.0 cannot carry, even as character references.
+_NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_NO_ELEMENTS = expat.errors.codes[expat.errors.XML_ERROR_NO_ELEMENTS]
+_TAG_MISMATCH = expat.errors.codes[expat.errors.XML_ERROR_TAG_MISMATCH]
 
 
 @dataclass(frozen=True)
@@ -79,194 +86,95 @@ class FieldToken:
     field: str  # one of FIELD_NAMES
 
 
-# --- low-level reader ---
+# --- reading the element tree ---
 
 
 @dataclass
 class _Element:
     name: str
     attrs: dict[str, str]
-    pos: int
+    pos: tuple[int, int]  # (line, 1-based column) of the start tag
     children: list["_Element"] = field(default_factory=list)
     text: str = ""
-    has_text: bool = False  # any non-whitespace character content
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _fail(message: str, pos: tuple[int, int], cls: type = MalformedXml) -> NoReturn:
+    raise cls(message, *pos)
 
-    def _location(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, column
 
-    def fail(self, message: str, pos: int | None = None, cls: type = MalformedXml):
-        line, column = self._location(self.pos if pos is None else pos)
-        raise cls(message, line, column)
+def _read_tree(document: bytes | str) -> _Element:
+    """The root element of one UTF-8 document, read by expat."""
+    if isinstance(document, str):
+        try:
+            document = document.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedXml(f"not encodable as UTF-8: character offset {exc.start}") from exc
+    document = document.removeprefix(codecs.BOM_UTF8)
+    # Expat switches to UTF-16 on a UTF-16 byte-order mark or on a NUL among
+    # the first two bytes, whatever encoding it was created with.
+    if document[:2] in (codecs.BOM_UTF16_BE, codecs.BOM_UTF16_LE) or b"\0" in document[:2]:
+        raise MalformedXml("not UTF-8", 1, 1)
+    parser = expat.ParserCreate("UTF-8")
+    parser.buffer_text = True
+    stack = [_Element("", {}, (1, 1))]  # the document; its one child is the root
+    # The text pieces of each open element, joined once when it closes: expat
+    # flushes its buffer at every tag, so appending to a string instead would
+    # copy a parent's text again for each child.
+    pieces: list[list[str]] = [[]]
 
-    def _skip_ws(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-        return self.pos - start
+    def position() -> tuple[int, int]:
+        return parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
 
-    def _skip_misc(self):
-        # Whitespace and comments, allowed around the root element.
-        while True:
-            self._skip_ws()
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    self.fail("unterminated comment")
-                self.pos = end + 3
-            else:
-                return
-
-    def _decode(self, raw: str, base: int) -> str:
-        out: list[str] = []
-        i = 0
-        while True:
-            amp = raw.find("&", i)
-            if amp < 0:
-                out.append(raw[i:])
-                return "".join(out)
-            out.append(raw[i:amp])
-            semi = raw.find(";", amp + 1)
-            name = raw[amp + 1 : semi] if semi > 0 else None
-            if name not in _ENTITIES:
-                self.fail("unknown or unterminated entity reference", base + amp)
-            out.append(_ENTITIES[name])
-            i = semi + 1
-
-    def _read_name(self, what: str) -> str:
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            self.fail(f"expected {what}")
-        self.pos = m.end()
-        return m.group(0)
-
-    def _read_attrs(self, element_name: str, element_pos: int) -> dict[str, str]:
-        attrs: dict[str, str] = {}
-        while True:
-            ws = self._skip_ws()
-            if self.pos >= len(self.text):
-                self.fail("unexpected end of document inside a tag", element_pos)
-            if self.text[self.pos] in "/>":
-                return attrs
-            if not ws:
-                self.fail("expected whitespace before attribute")
-            attr_pos = self.pos
-            name = self._read_name("an attribute name")
-            if ":" in name and name != "xml:lang":
-                self.fail(f"namespaced attribute {name!r} is not supported", attr_pos,
-                          UnsupportedFeature)
-            if name in attrs:
-                self.fail(f"duplicate attribute {name!r} on <{element_name}>", attr_pos)
-            if not self.text.startswith("=", self.pos):
-                self.fail("expected '=' after attribute name")
-            self.pos += 1
-            if self.pos >= len(self.text) or self.text[self.pos] not in "\"'":
-                self.fail("attribute value must be quoted")
-            quote = self.text[self.pos]
-            self.pos += 1
-            end = self.text.find(quote, self.pos)
-            if end < 0:
-                self.fail("unterminated attribute value", attr_pos)
-            raw = self.text[self.pos : end]
-            if "<" in raw:
-                self.fail("raw '<' in attribute value", self.pos + raw.index("<"))
-            attrs[name] = self._decode(raw, self.pos)
-            self.pos = end + 1
-
-    def read_element(self, depth: int) -> _Element:
-        if depth > _MAX_DEPTH:
-            self.fail("document nested too deeply")
-        start = self.pos
-        self.pos += 1  # consume '<'
-        name = self._read_name("an element name")
+    def start(name: str, attrs: dict[str, str]):
+        pos = position()
+        if len(stack) - 1 > _MAX_DEPTH:  # the new element's depth; the root's is 0
+            _fail("document nested too deeply", pos)
         if ":" in name:
-            self.fail(f"namespaced element <{name}> is not supported", start, UnsupportedFeature)
-        element = _Element(name, {}, start)
-        element.attrs = self._read_attrs(name, start)
-        if self.text.startswith("/>", self.pos):
-            self.pos += 2
-            return element
-        if not self.text.startswith(">", self.pos):
-            self.fail("expected '>' to close the tag")
-        self.pos += 1
-        text_parts: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail(f"unexpected end of document inside <{name}>", start)
-            lt = self.text.find("<", self.pos)
-            if lt < 0:
-                self.fail(f"unexpected end of document inside <{name}>", start)
-            if lt > self.pos:
-                raw = self.text[self.pos : lt]
-                decoded = self._decode(raw, self.pos)
-                text_parts.append(decoded)
-                if decoded.strip():
-                    element.has_text = True
-                self.pos = lt
-                continue
-            if self.text.startswith("</", self.pos):
-                close_pos = self.pos
-                self.pos += 2
-                close_name = self._read_name("an element name")
-                if close_name != name:
-                    self.fail(
-                        f"mismatched closing tag </{close_name}>, expected </{name}>", close_pos
-                    )
-                self._skip_ws()
-                if not self.text.startswith(">", self.pos):
-                    self.fail("expected '>' to close the tag")
-                self.pos += 1
-                element.text = "".join(text_parts)
-                return element
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
-                if end < 0:
-                    self.fail("unterminated comment")
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<!", self.pos) or self.text.startswith("<?", self.pos):
-                self.fail(
-                    "DTDs, CDATA sections, and processing instructions are not supported",
-                    self.pos,
-                    UnsupportedFeature,
-                )
-            element.children.append(self.read_element(depth + 1))
+            _fail(f"namespaced element <{name}> is not supported", pos, UnsupportedFeature)
+        for attr in attrs:
+            if ":" in attr and attr != "xml:lang":
+                _fail(f"namespaced attribute {attr!r} is not supported", pos, UnsupportedFeature)
+        element = _Element(name, attrs, pos)
+        stack[-1].children.append(element)
+        stack.append(element)
+        pieces.append([])
 
-    def read_document(self) -> _Element:
-        if self.text.startswith("<?xml", self.pos):
-            end = self.text.find("?>", self.pos)
-            if end < 0:
-                self.fail("unterminated XML declaration")
-            self.pos = end + 2
-        self._skip_misc()
-        if self.pos >= len(self.text):
-            self.fail("document has no root element")
-        if self.text.startswith("<!", self.pos) or self.text.startswith("<?", self.pos):
-            self.fail(
-                "DTDs and processing instructions are not supported", self.pos, UnsupportedFeature
-            )
-        if not self.text.startswith("<", self.pos):
-            self.fail("expected the root element")
-        root = self.read_element(0)
-        self._skip_misc()
-        if self.pos < len(self.text):
-            self.fail("content after the root element")
-        return root
+    def end(name: str):
+        stack.pop().text = "".join(pieces.pop())
+
+    def unsupported(what: str):
+        def refuse(*_):
+            _fail(f"{what} is not supported", position(), UnsupportedFeature)
+        return refuse
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = lambda data: pieces[-1].append(data)
+    parser.StartDoctypeDeclHandler = unsupported("a DOCTYPE")
+    parser.ProcessingInstructionHandler = unsupported("a processing instruction")
+    parser.StartCdataSectionHandler = unsupported("a CDATA section")
+    try:
+        parser.Parse(document, True)
+    except expat.ExpatError as exc:
+        message, pos = expat.ErrorString(exc.code), (exc.lineno, exc.offset + 1)
+        if exc.code == _NO_ELEMENTS and len(stack) > 1:
+            message, pos = f"unexpected end of document inside <{stack[-1].name}>", stack[-1].pos
+        elif exc.code == _TAG_MISMATCH:  # expat points at the name after "</"
+            message, pos = f"{message}, expected </{stack[-1].name}>", (exc.lineno, exc.offset - 1)
+        raise MalformedXml(message, *pos) from None
+    finally:
+        # The handlers reach the parser through this cell; emptying it breaks
+        # the cycle, so each parse is freed at once instead of by the cyclic GC.
+        del parser
+    return stack[0].children[0]
 
 
 # --- structure layer ---
 
 
-def _check_lang_attr(reader: _Reader, element: _Element, attr: str, value: str) -> str:
+def _check_lang_attr(element: _Element, attr: str, value: str) -> str:
     if not LANGUAGE_RE.fullmatch(value):
-        line, column = reader._location(element.pos)
+        line, column = element.pos
         raise InvalidLanguageTag(
             f"bad language tag {value!r} in {attr} on <{element.name}>"
             f" at line {line}, column {column}"
@@ -274,144 +182,123 @@ def _check_lang_attr(reader: _Reader, element: _Element, attr: str, value: str) 
     return value
 
 
-def _take_attrs(reader: _Reader, element: _Element, required: tuple[str, ...],
+def _take_attrs(element: _Element, required: tuple[str, ...],
                 ignored: tuple[str, ...] = ()) -> dict[str, str]:
     for name in element.attrs:
         if name not in required and name not in ignored:
-            reader.fail(f"unexpected attribute {name!r} on <{element.name}>", element.pos)
+            _fail(f"unexpected attribute {name!r} on <{element.name}>", element.pos)
     out = {}
     for name in required:
         if name not in element.attrs:
-            reader.fail(
-                f"<{element.name}> requires attribute {name!r}", element.pos, MissingElement
-            )
+            _fail(f"<{element.name}> requires attribute {name!r}", element.pos, MissingElement)
         out[name] = element.attrs[name]
     return out
 
 
-def _require_leaf(reader: _Reader, element: _Element):
+def _require_leaf(element: _Element):
     if element.children:
-        reader.fail(f"<{element.name}> must not have child elements", element.children[0].pos)
-    if element.has_text:
-        reader.fail(f"<{element.name}> must not contain text", element.pos)
+        _fail(f"<{element.name}> must not have child elements", element.children[0].pos)
+    if element.text.strip():
+        _fail(f"<{element.name}> must not contain text", element.pos)
 
 
-def _take_documentation(reader: _Reader, parent: _Element, children: list[_Element]) -> str:
+def _take_documentation(parent: _Element, children: list[_Element]) -> str:
     if not children or children[0].name != "documentation":
-        reader.fail(
-            f"<{parent.name}> requires a <documentation> child", parent.pos, MissingElement
-        )
+        _fail(f"<{parent.name}> requires a <documentation> child", parent.pos, MissingElement)
     doc = children.pop(0)
-    _take_attrs(reader, doc, ())
+    _take_attrs(doc, ())
     if doc.children:
-        reader.fail("<documentation> must not have child elements", doc.children[0].pos)
+        _fail("<documentation> must not have child elements", doc.children[0].pos)
     return doc.text
 
 
-def _nonempty(reader: _Reader, element: _Element, attr: str, value: str) -> str:
+def _nonempty(element: _Element, attr: str, value: str) -> str:
     if not value.strip():
-        reader.fail(f"attribute {attr!r} on <{element.name}> must not be empty", element.pos)
+        _fail(f"attribute {attr!r} on <{element.name}> must not be empty", element.pos)
     return value
 
 
-def _parse_operation(reader: _Reader, element: _Element) -> OperationSig:
-    attrs = _take_attrs(reader, element, ("name",))
-    op_name = _nonempty(reader, element, "name", attrs["name"])
-    if element.has_text:
-        reader.fail("<operation> must not contain text", element.pos)
+def _parse_operation(element: _Element) -> OperationSig:
+    attrs = _take_attrs(element, ("name",))
+    op_name = _nonempty(element, "name", attrs["name"])
+    if element.text.strip():
+        _fail("<operation> must not contain text", element.pos)
     children = list(element.children)
-    documentation = _take_documentation(reader, element, children)
+    documentation = _take_documentation(element, children)
     inputs: list[tuple[str, str]] = []
     seen_inputs: set[str] = set()
     while children and children[0].name == "input":
         child = children.pop(0)
-        cattrs = _take_attrs(reader, child, ("name", "type"))
-        _require_leaf(reader, child)
-        in_name = _nonempty(reader, child, "name", cattrs["name"])
+        cattrs = _take_attrs(child, ("name", "type"))
+        _require_leaf(child)
+        in_name = _nonempty(child, "name", cattrs["name"])
         if in_name in seen_inputs:
-            reader.fail(f"duplicate input {in_name!r} in operation {op_name!r}", child.pos)
+            _fail(f"duplicate input {in_name!r} in operation {op_name!r}", child.pos)
         seen_inputs.add(in_name)
         if cattrs["type"] not in SIMPLE_TYPES:
-            reader.fail(
+            _fail(
                 f"unknown type {cattrs['type']!r}, expected one of {', '.join(SIMPLE_TYPES)}",
                 child.pos,
                 InvalidType,
             )
         inputs.append((in_name, cattrs["type"]))
     if not children or children[0].name != "output":
-        reader.fail(
-            f"operation {op_name!r} requires an <output> child", element.pos, MissingElement
-        )
+        _fail(f"operation {op_name!r} requires an <output> child", element.pos, MissingElement)
     output = children.pop(0)
-    oattrs = _take_attrs(reader, output, ("type",))
-    _require_leaf(reader, output)
+    oattrs = _take_attrs(output, ("type",))
+    _require_leaf(output)
     if oattrs["type"] not in SIMPLE_TYPES:
-        reader.fail(
+        _fail(
             f"unknown type {oattrs['type']!r}, expected one of {', '.join(SIMPLE_TYPES)}",
             output.pos,
             InvalidType,
         )
     if children:
-        reader.fail(f"unexpected element <{children[0].name}> in <operation>", children[0].pos)
+        _fail(f"unexpected element <{children[0].name}> in <operation>", children[0].pos)
     return OperationSig(op_name, documentation, tuple(inputs), oattrs["type"])
 
 
 def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
     """Parse one service descriptor document; service_id is left empty."""
-    if isinstance(document, bytes):
-        if document.startswith(b"\xef\xbb\xbf"):
-            document = document[3:]
-        try:
-            text = document.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedXml(f"not valid UTF-8: byte offset {exc.start}") from exc
-    else:
-        text = document
-    bad = _BAD_CONTROL_RE.search(text)
-    reader = _Reader(text)
-    if bad:
-        reader.fail(f"control character U+{ord(bad.group(0)):04X} is not allowed", bad.start())
-    root = reader.read_document()
+    root = _read_tree(document)
     if root.name != "service":
-        reader.fail(f"root element must be <service>, found <{root.name}>", root.pos)
-    attrs = _take_attrs(
-        reader, root, ("xml:lang", "name", "provider", "endpoint"), ignored=("xmlns",)
-    )
-    language = _check_lang_attr(reader, root, "xml:lang", attrs["xml:lang"])
-    name = _nonempty(reader, root, "name", attrs["name"])
-    provider = _nonempty(reader, root, "provider", attrs["provider"])
+        _fail(f"root element must be <service>, found <{root.name}>", root.pos)
+    attrs = _take_attrs(root, ("xml:lang", "name", "provider", "endpoint"), ignored=("xmlns",))
+    language = _check_lang_attr(root, "xml:lang", attrs["xml:lang"])
+    name = _nonempty(root, "name", attrs["name"])
+    provider = _nonempty(root, "provider", attrs["provider"])
     endpoint = attrs["endpoint"]
     parts = urlsplit(endpoint)
     if not parts.scheme or not (parts.netloc or parts.path):
-        reader.fail(f"endpoint {endpoint!r} must be an absolute URL", root.pos)
-    if root.has_text:
-        reader.fail("<service> must not contain text", root.pos)
+        _fail(f"endpoint {endpoint!r} must be an absolute URL", root.pos)
+    if root.text.strip():
+        _fail("<service> must not contain text", root.pos)
     children = list(root.children)
-    documentation = _take_documentation(reader, root, children)
+    documentation = _take_documentation(root, children)
     categories: list[tuple[TermId, str]] = []
     while children and children[0].name == "category":
         child = children.pop(0)
-        cattrs = _take_attrs(reader, child, ("term", "lang"))
-        _require_leaf(reader, child)
+        cattrs = _take_attrs(child, ("term", "lang"))
+        _require_leaf(child)
         try:
             term = TermId.parse(cattrs["term"])
         except InvalidIdentifier as exc:
-            reader.fail(str(exc), child.pos)
-        lang = _check_lang_attr(reader, child, "lang", cattrs["lang"])
+            _fail(str(exc), child.pos)
+        lang = _check_lang_attr(child, "lang", cattrs["lang"])
         categories.append((term, lang))
     operations: list[OperationSig] = []
     seen_ops: set[str] = set()
     while children and children[0].name == "operation":
         child = children.pop(0)
-        op = _parse_operation(reader, child)
+        op = _parse_operation(child)
         if op.name in seen_ops:
-            reader.fail(f"duplicate operation {op.name!r}", child.pos)
+            _fail(f"duplicate operation {op.name!r}", child.pos)
         seen_ops.add(op.name)
         operations.append(op)
     if children:
-        reader.fail(f"unexpected element <{children[0].name}> in <service>", children[0].pos)
+        _fail(f"unexpected element <{children[0].name}> in <service>", children[0].pos)
     if not operations:
-        reader.fail("<service> requires at least one <operation>", root.pos, MissingElement)
+        _fail("<service> requires at least one <operation>", root.pos, MissingElement)
     return ServiceDescriptor(
         name=name,
         documentation=documentation,
@@ -427,8 +314,8 @@ def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
 
 
 def _check_text(value: str, what: str):
-    if _BAD_CONTROL_RE.search(value):
-        raise InvariantViolation(f"{what} contains a control character")
+    if _NOT_XML_CHAR_RE.search(value):
+        raise InvariantViolation(f"{what} contains a character XML cannot carry")
 
 
 def validate_descriptor(descriptor: ServiceDescriptor):
@@ -475,12 +362,15 @@ def validate_descriptor(descriptor: ServiceDescriptor):
             raise InvariantViolation(f"unknown output type {op.output!r}")
 
 
+# CR is written as a reference in text and in attributes, tab and LF in
+# attributes, because XML 1.0 normalizes them on reading.
 def _esc_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 def _esc_attr(value: str) -> str:
-    return _esc_text(value).replace('"', "&quot;")
+    return _esc_text(value).replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
 
 
 def serialize_descriptor(descriptor: ServiceDescriptor) -> bytes:

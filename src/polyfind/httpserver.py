@@ -22,7 +22,7 @@ from .importer import report_to_dict
 from .ontology import load_portion, portion_to_dict
 from .registry import get as registry_get
 from .state import AppState
-from .textutil import check_fields, load_json
+from .textutil import DIGITS_RE, check_fields, load_json
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,7 @@ def _read_body(handler: "ApiHandler") -> bytes:
     """The request body, refused before reading when it has no usable
     Content-Length or a larger one than _MAX_BODY."""
     length = handler.headers.get("Content-Length")
-    # isascii: str.isdigit also accepts digits such as "²" that int() rejects.
-    if length is None or not (length.isascii() and length.isdigit()):
+    if length is None or not DIGITS_RE.fullmatch(length):
         raise SchemaViolation("$", "request requires a Content-Length body")
     size = int(length)
     if size > _MAX_BODY:

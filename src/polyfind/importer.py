@@ -193,15 +193,17 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     else:
         outcome = "imported"
     merged = set_portion(store, remote)
-    for link in links:
-        if resolve(merged, link.source) is None or resolve(merged, link.target) is None:
-            continue  # may reference portions we do not hold; not an error
+    # Links may reference portions we do not hold; those are skipped, not errors.
+    kept = [
+        link for link in links
+        if resolve(merged, link.source) is not None and resolve(merged, link.target) is not None
+    ]
+    for link in kept:
         if link.source.lang == link.target.lang:
             raise ValidationFailed(
                 f"alignment document from {fetched.repo!r} links two {link.source.lang!r} terms"
             )
-        merged = add_alignment(merged, link)
-    return merged, report(outcome)
+    return add_alignment(merged, *kept), report(outcome)
 
 
 def import_portion(

@@ -431,15 +431,18 @@ def set_portion(store: OntologyStore, portion: OntologyPortion) -> OntologyStore
     return OntologyStore(portions, alignments)
 
 
-def add_alignment(store: OntologyStore, link: AlignmentLink) -> OntologyStore:
-    """Upsert a symmetric link; one entry per unordered endpoint pair."""
-    if link.source.lang == link.target.lang:
-        raise SameLanguage(f"both endpoints are in language {link.source.lang!r}")
-    require_term(store, link.source)
-    require_term(store, link.target)
+def add_alignment(store: OntologyStore, *links: AlignmentLink) -> OntologyStore:
+    """Upsert symmetric links in order; one entry per unordered endpoint pair.
+    Every link is checked before the adjacency map is copied, once."""
+    for link in links:
+        if link.source.lang == link.target.lang:
+            raise SameLanguage(f"both endpoints are in language {link.source.lang!r}")
+        require_term(store, link.source)
+        require_term(store, link.target)
     alignments = {src: dict(targets) for src, targets in store.alignments.items()}
-    alignments.setdefault(link.source, {})[link.target] = (link.relation, link.confidence)
-    alignments.setdefault(link.target, {})[link.source] = (link.relation, link.confidence)
+    for link in links:
+        alignments.setdefault(link.source, {})[link.target] = (link.relation, link.confidence)
+        alignments.setdefault(link.target, {})[link.source] = (link.relation, link.confidence)
     return OntologyStore(store.portions, alignments)
 
 

@@ -41,11 +41,11 @@ from .errors import (
 )
 from .langdetect import TrigramProfile, load_profiles, packaged_corpora_dir
 from .registry import BindingTicket
-from .textutil import IDENTIFIER_RE, LANGUAGE_RE
+from .textutil import DIGITS_RE, IDENTIFIER_RE, LANGUAGE_RE
 
 log = logging.getLogger(__name__)
 
-_SERVICE_FILE_RE = re.compile(r"(s-\d{6,})\.xml\Z")
+_SERVICE_FILE_RE = re.compile(r"(s-[0-9]{6,})\.xml\Z")
 _PORTION_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.({LANGUAGE_RE.pattern})\.json\Z")
 
 
@@ -120,9 +120,7 @@ def load_snapshot(data_dir: Path) -> Snapshot:
             if path.suffix == ".tmp" or not path.is_file():
                 continue
             try:
-                links = onto.load_alignments(path.read_bytes())
-                for link in links:
-                    store = onto.add_alignment(store, link)
+                store = onto.add_alignment(store, *onto.load_alignments(path.read_bytes()))
             except PolyfindError as exc:
                 raise StartupError(f"corrupt alignment file {path}: {exc}") from exc
     descriptors = []
@@ -143,7 +141,7 @@ def load_snapshot(data_dir: Path) -> Snapshot:
     seq = 0
     if seq_path.exists():
         text = seq_path.read_text("utf-8").strip()
-        if not text.isdigit():
+        if not DIGITS_RE.fullmatch(text):
             raise StartupError(f"corrupt seq file {seq_path}: {text!r}")
         seq = int(text)
     registry_store = reg.registry_from_descriptors(descriptors, last_seq=seq)

@@ -27,6 +27,8 @@ _STRIP = {cp: None for cp in [0x0640, *range(0x064B, 0x0653)]}
 # Match whole strings with fullmatch; other patterns embed .pattern.
 IDENTIFIER_RE = re.compile(r"[A-Za-z0-9_-]+")
 LANGUAGE_RE = re.compile(r"[a-z]{2,3}")
+# ASCII only: str.isdigit and \d also accept digits such as "²" or "٩".
+DIGITS_RE = re.compile(r"[0-9]+")
 
 # The kinds check_fields accepts, each an isinstance() argument, and their
 # names in errors.

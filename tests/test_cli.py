@@ -238,11 +238,12 @@ class TestClientCommands:
 
     def test_discover_interactive_not_a_number(self, server_url, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(isatty=lambda: True))
-        monkeypatch.setattr("builtins.input", lambda prompt: "first")
-        assert main([
-            "discover", "--domain", "math", "--server", server_url, "square",
-        ]) == 1
-        assert "is not a number" in capsys.readouterr().err
+        for answer in ("first", "²"):
+            monkeypatch.setattr("builtins.input", lambda prompt: answer)
+            assert main([
+                "discover", "--domain", "math", "--server", server_url, "square",
+            ]) == 1
+            assert "is not a number" in capsys.readouterr().err
 
     def test_bind_prints_ticket_and_endpoint(self, server_url, capsys):
         assert main(["bind", "s-000002", "--server", server_url]) == 0

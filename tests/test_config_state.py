@@ -15,6 +15,7 @@ from polyfind.errors import (
     UnknownService,
 )
 from polyfind.importer import RemoteRepoRef
+from polyfind import ontology as onto
 from polyfind.ontology import (
     OntologyPortion,
     Relation,
@@ -26,7 +27,7 @@ from polyfind.ontology import (
 from polyfind.registry import DEFAULT_FIELD_WEIGHTS, find
 from polyfind.state import AppState, atomic_write_bytes, load_snapshot
 
-from conftest import DESCRIPTOR_FILES, PORTION_FILES
+from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, PORTION_FILES
 
 
 def write_config(tmp_path, doc):
@@ -193,7 +194,11 @@ class TestLoadSnapshot:
         ("portions/math.de.json", "{", "corrupt portion"),
         ("services/readme.txt", "hi", "unexpected file"),
         ("services/s-000009.xml", "<broken", "corrupt service"),
+        pytest.param("services/s-000009.xml", DESCRIPTOR_FILES[1].read_text("utf-8").replace(
+            "any number", "any\ufffe number"), "corrupt service", id="service-with-U+FFFE"),
         ("seq", "ten", "corrupt seq"),
+        ("seq", "²", "corrupt seq"),
+        ("services/s-٠٠٠٠٠٩.xml", "hi", "unexpected file"),
         ("alignments/math.json", "{", "corrupt alignment"),
     ])
     def test_startup_errors_name_the_file(self, tmp_path, relative, content, fragment):
@@ -204,6 +209,35 @@ class TestLoadSnapshot:
         with pytest.raises(StartupError, match=fragment) as err:
             load_snapshot(root)
         assert relative.rsplit("/", 1)[-1] in str(err.value)
+
+    def test_stored_whitespace_reads_back_normalized(self, tmp_path):
+        # Older serializers stored tab, CR and LF raw; XML 1.0 reads a raw tab
+        # or LF in an attribute as a space and a raw CR in text as LF.
+        root = self.seeded_dir(tmp_path)
+        stored = DESCRIPTOR_FILES[1].read_text("utf-8")
+        stored = stored.replace('provider="Acme Math"', 'provider="Acme\tMa\nth"')
+        stored = stored.replace("any number", "any\r\nnum\rber")
+        (root / "services" / "s-000009.xml").write_bytes(stored.encode("utf-8"))
+        loaded = load_snapshot(root).registry.descriptors["s-000009"]
+        assert loaded.provider == "Acme Ma th"
+        assert loaded.documentation == "Finds the square root of any\nnum\nber."
+
+    def test_one_add_alignment_call_per_alignment_file(self, tmp_path, monkeypatch):
+        root = self.seeded_dir(tmp_path)
+        (root / "alignments").mkdir()
+        (root / "alignments" / "math.json").write_bytes(ALIGNMENT_FILE.read_bytes())
+        links = onto.load_alignments(ALIGNMENT_FILE.read_bytes())
+        calls = []
+        add_alignment = onto.add_alignment
+
+        def counting(store, *batch):
+            calls.append(len(batch))
+            return add_alignment(store, *batch)
+
+        monkeypatch.setattr(onto, "add_alignment", counting)
+        snap = load_snapshot(root)
+        assert calls == [len(links)]
+        assert len(iter_links(snap.ontology)) == len(links)
 
     def test_portion_under_wrong_filename(self, tmp_path):
         root = self.seeded_dir(tmp_path)

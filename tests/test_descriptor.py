@@ -1,3 +1,6 @@
+import gc
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -225,6 +228,79 @@ class TestParseErrors:
             parse_descriptor(doc)
 
 
+BILLION_LAUGHS = (
+    '<?xml version="1.0"?>\n<!DOCTYPE service [\n  <!ENTITY lol0 "lol">\n'
+    + "".join(f'  <!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">\n' for i in range(1, 10))
+    + "]>\n"
+    + MINIMAL.replace(">doc<", ">&lol9;<", 1)
+)
+
+
+class TestParserHardening:
+    def test_nested_entity_doctype_rejected_quickly(self):
+        started = time.perf_counter()
+        with pytest.raises(UnsupportedFeature):
+            parse_descriptor(BILLION_LAUGHS)
+        assert time.perf_counter() - started < 1.0
+
+    def test_text_between_many_children_read_in_linear_time(self):
+        # 20,000 children with 200 characters before each: about 4 MB. Were
+        # each text piece appended to its parent's text so far, this would
+        # copy about 40 GB and take seconds.
+        doc = "<service>" + ("x" * 200 + "<a/>") * 20_000 + "</service>"
+        started = time.perf_counter()
+        with pytest.raises(MissingElement):
+            parse_descriptor(doc)
+        assert time.perf_counter() - started < 1.0
+
+    def test_external_doctype_rejected(self):
+        with pytest.raises(UnsupportedFeature):
+            parse_descriptor('<!DOCTYPE service SYSTEM "file:///etc/passwd">\n' + MINIMAL)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-16-be"])
+    def test_utf16_rejected(self, encoding):
+        with pytest.raises(MalformedXml):
+            parse_descriptor(MINIMAL.encode(encoding))
+
+    def test_declared_latin1_is_still_read_as_utf8(self):
+        doc = '<?xml version="1.0" encoding="ISO-8859-1"?>\n' + MINIMAL.replace(">doc<", ">d\xe9c<")
+        with pytest.raises(MalformedXml):
+            parse_descriptor(doc.encode("latin-1"))
+
+    def test_lone_surrogate_in_str_rejected(self):
+        with pytest.raises(MalformedXml):
+            parse_descriptor(MINIMAL.replace(">doc<", ">d\ud800c<"))
+
+    def test_character_references(self):
+        assert parse_descriptor(MINIMAL.replace(">doc<", ">&#233;&#xe9;<")).documentation == "éé"
+        with pytest.raises(MalformedXml):
+            parse_descriptor(MINIMAL.replace(">doc<", ">&#1;<"))
+
+    def test_xml_line_end_and_attribute_normalization(self):
+        doc = MINIMAL.replace(">doc<", ">a\r\nb\rc<").replace('name="Echo"', 'name="E\tc\nho"')
+        parsed = parse_descriptor(doc)
+        assert parsed.documentation == "a\nb\nc"
+        assert parsed.name == "E c ho"
+
+    def test_parse_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            parse_descriptor(MINIMAL)
+            with pytest.raises(MalformedXml):
+                parse_descriptor("<service>")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_whitespace_survives_round_trip_as_references(self):
+        descriptor = minimal(name="E\tc\r\nho", documentation="a\r\nb\tc")
+        data = serialize_descriptor(descriptor)
+        assert b'name="E&#9;c&#13;&#10;ho"' in data
+        assert b">a&#13;\nb\tc<" in data
+        assert parse_descriptor(data) == descriptor
+
+
 class TestSerialize:
     def test_round_trip_fixture(self):
         for path in DESCRIPTOR_FILES:
@@ -258,6 +334,9 @@ class TestSerialize:
     def test_validate_catches_control_chars(self):
         with pytest.raises(InvariantViolation):
             validate_descriptor(minimal(documentation="a\x01b"))
+        for not_xml in ("\ufffe", "\uffff", "\ud800"):
+            with pytest.raises(InvariantViolation):
+                validate_descriptor(minimal(documentation=f"a{not_xml}b"))
 
     def test_descriptor_to_dict_shape(self):
         doc = descriptor_to_dict(parse_descriptor(EN_FIXTURE.read_bytes()))
@@ -296,7 +375,7 @@ class TestTokenize:
 
 # --- generated round trips ---
 
-_text = st.text(alphabet=list("abc déθر &<>\"'"), max_size=12)
+_text = st.text(alphabet=list("abc déθر &<>\"'\t\n\r"), max_size=12)
 _required = _text.filter(lambda s: s.strip())
 _ident = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 

@@ -328,6 +328,33 @@ class TestAlignments:
         (link,) = links_from(store, ref_ar)
         assert (link.relation, link.confidence) == ("close", 0.5)
 
+    def test_batch_equals_sequential_adds(self):
+        store = self.build_store()
+        sq_ar, sq_en = TermRef(SQ, "ar"), TermRef(SQ, "en")
+        links = [
+            AlignmentLink(sq_ar, sq_en, "exact", 1.0),
+            AlignmentLink(TermRef(OP, "en"), TermRef(OP, "ar"), "close", 0.8),
+            AlignmentLink(sq_en, sq_ar, "close", 0.5),  # upserts the first pair
+        ]
+        sequential = store
+        for link in links:
+            sequential = add_alignment(sequential, link)
+        batch = add_alignment(store, *links)
+        assert batch == sequential
+        assert list(batch.alignments) == list(sequential.alignments)
+        assert iter_links(batch) == iter_links(sequential)
+
+    def test_batch_with_one_bad_link_raises(self):
+        store = self.build_store()
+        good = AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "exact", 1.0)
+        same_language = AlignmentLink(TermRef(SQ, "ar"), TermRef(OP, "ar"), "exact", 1.0)
+        unknown = AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "fr"), "exact", 1.0)
+        with pytest.raises(SameLanguage):
+            add_alignment(store, good, same_language)
+        with pytest.raises(UnknownTerm):
+            add_alignment(store, good, unknown)
+        assert iter_links(store) == []
+
     def test_replacing_portion_prunes_dead_links(self):
         store = self.build_store()
         store = add_alignment(
