@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ontology as onto
 from .config import load_config
-from .errors import PolyfindError, SameLanguage
+from .errors import PolyfindError
 from .httpserver import make_server
 from .langdetect import detect, load_profiles, packaged_corpora_dir
 from .textutil import DIGITS_RE, check_language
@@ -204,8 +204,6 @@ def _parse_ref(text: str) -> onto.TermRef:
 def cmd_onto_align(args) -> int:
     source = _parse_ref(args.source)
     target = _parse_ref(args.target)
-    if source.lang == target.lang:
-        raise SameLanguage(f"both endpoints are in language {source.lang!r}")
     link = onto.AlignmentLink(source, target, args.relation, args.confidence)
     path = Path(args.file)
     links = onto.load_alignments(path.read_bytes()) if path.exists() else []

@@ -9,7 +9,6 @@ returns a fully updated store or raises, never a partial state.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import urllib.error
 import urllib.request
@@ -28,8 +27,7 @@ from .ontology import (
     add_alignment,
     load_alignments,
     load_portion,
-    resolve,
-    save_portion,
+    resolves,
     set_portion,
     validate_portion,
 )
@@ -133,10 +131,6 @@ def fetch_portion_docs(
     return FetchedPortion(repo.name, domain, language, portion_doc, alignment_doc)
 
 
-def _content_hash(portion) -> str:
-    return hashlib.sha256(save_portion(portion)).hexdigest()
-
-
 def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[OntologyStore, ImportReport]:
     """Validate fetched documents and merge them into the store.
 
@@ -186,7 +180,7 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
         if remote.version < local.version:
             return store, report("rejected", "remote version is older than local")
         if remote.version == local.version:
-            if _content_hash(remote) == _content_hash(local):
+            if remote == local:
                 return store, report("already_current")
             return store, report("rejected", "same version but different content")
         outcome = "upgraded"
@@ -194,16 +188,7 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
         outcome = "imported"
     merged = set_portion(store, remote)
     # Links may reference portions we do not hold; those are skipped, not errors.
-    kept = [
-        link for link in links
-        if resolve(merged, link.source) is not None and resolve(merged, link.target) is not None
-    ]
-    for link in kept:
-        if link.source.lang == link.target.lang:
-            raise ValidationFailed(
-                f"alignment document from {fetched.repo!r} links two {link.source.lang!r} terms"
-            )
-    return add_alignment(merged, *kept), report(outcome)
+    return add_alignment(merged, *(l for l in links if resolves(merged, l))), report(outcome)
 
 
 def import_portion(

@@ -85,12 +85,12 @@ def out_of_place_distance(text_ranked: list[str], profile: TrigramProfile) -> in
     return total
 
 
-def _script_majority(normalized: str, table: dict) -> str | None:
+def _script_majority(normalized: str) -> str | None:
     letters = [ch for ch in normalized if unicodedata.category(ch).startswith("L")]
     if not letters:
         return None
-    for lang in sorted(table):
-        ranges = table[lang]
+    for lang in sorted(SCRIPT_EXCLUSIVE):
+        ranges = SCRIPT_EXCLUSIVE[lang]
         hits = sum(1 for ch in letters if any(lo <= ord(ch) <= hi for lo, hi in ranges))
         if hits * 2 > len(letters):
             return lang
@@ -101,7 +101,6 @@ def detect(
     text: str,
     profiles: list[TrigramProfile] | tuple[TrigramProfile, ...] = (),
     declared: str | None = None,
-    script_table: dict | None = None,
 ) -> DetectionResult:
     """Identify the language of `text`.
 
@@ -112,14 +111,13 @@ def detect(
     """
     if declared is not None:
         return DetectionResult(check_language(declared), 1.0, "declared")
-    table = SCRIPT_EXCLUSIVE if script_table is None else script_table
     normalized = normalize_text(text)
     if not normalized:
         raise EmptyInput("nothing left to classify after normalization")
-    script_lang = _script_majority(normalized, table)
+    script_lang = _script_majority(normalized)
     if script_lang is not None:
         return DetectionResult(script_lang, 1.0, "script")
-    candidates = [p for p in profiles if p.language not in table]
+    candidates = [p for p in profiles if p.language not in SCRIPT_EXCLUSIVE]
     if not candidates:
         raise NoProfiles("no trigram profiles configured for non-script languages")
     text_ranked = rank_trigrams(trigram_counts(normalized))

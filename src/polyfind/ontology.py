@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -37,7 +38,7 @@ __all__ = [
     "OntologyStore", "Violation", "RELATION_KINDS", "ALIGNMENT_RELATIONS",
     "create_portion", "add_term", "add_terms", "add_label", "lookup_label_kinds",
     "validate_portion", "portion_to_dict", "save_portion",
-    "load_portion", "empty_store", "resolve", "require_term", "set_portion",
+    "load_portion", "empty_store", "resolve", "require_term", "resolves", "set_portion",
     "add_alignment", "links_from", "iter_links", "save_alignments", "load_alignments",
 ]
 
@@ -376,6 +377,8 @@ class TermRef:
 
 @dataclass(frozen=True)
 class AlignmentLink:
+    """A cross-language link; the constructor owns every per-link rule."""
+
     source: TermRef
     target: TermRef
     relation: str
@@ -386,6 +389,9 @@ class AlignmentLink:
             raise InvariantViolation(f"alignment relation must be one of {ALIGNMENT_RELATIONS}")
         if not isinstance(self.confidence, (int, float)) or not 0.0 < self.confidence <= 1.0:
             raise InvariantViolation(f"confidence {self.confidence!r} must be in (0, 1]")
+        if self.source.lang == self.target.lang:
+            raise SameLanguage(f"both endpoints are in language {self.source.lang!r}")
+        object.__setattr__(self, "confidence", float(self.confidence))
 
     def reversed(self) -> "AlignmentLink":
         return AlignmentLink(self.target, self.source, self.relation, self.confidence)
@@ -393,10 +399,24 @@ class AlignmentLink:
 
 @dataclass(frozen=True)
 class OntologyStore:
-    """All loaded portions plus the symmetric alignment adjacency."""
+    """All loaded portions plus each alignment link once, keyed by its
+    endpoints in canonical orientation (smaller str(TermRef) first)."""
 
     portions: Mapping[tuple[str, str], OntologyPortion] = field(default_factory=dict)
-    alignments: Mapping[TermRef, Mapping[TermRef, tuple[str, float]]] = field(default_factory=dict)
+    alignments: Mapping[tuple[TermRef, TermRef], AlignmentLink] = field(default_factory=dict)
+
+    @cached_property
+    def adjacency(self) -> dict[TermRef, tuple[AlignmentLink, ...]]:
+        """Each endpoint's outgoing links, sorted by (target language, target id);
+        built once per store."""
+        out: dict[TermRef, list[AlignmentLink]] = {}
+        for link in self.alignments.values():
+            out.setdefault(link.source, []).append(link)
+            out.setdefault(link.target, []).append(link.reversed())
+        return {
+            ref: tuple(sorted(links, key=lambda l: (l.target.lang, str(l.target.term))))
+            for ref, links in out.items()
+        }
 
 
 def empty_store() -> OntologyStore:
@@ -417,59 +437,50 @@ def require_term(store: OntologyStore, ref: TermRef) -> Term:
     return term
 
 
+def resolves(store: OntologyStore, link: AlignmentLink) -> bool:
+    """Whether both endpoints name a term the store holds."""
+    return resolve(store, link.source) is not None and resolve(store, link.target) is not None
+
+
 def set_portion(store: OntologyStore, portion: OntologyPortion) -> OntologyStore:
-    """Insert or replace a portion; alignments that no longer resolve are pruned."""
-    portions = dict(store.portions)
-    portions[(portion.domain, portion.language)] = portion
-    probe = OntologyStore(portions, {})
-    alignments: dict[TermRef, dict[TermRef, tuple[str, float]]] = {}
-    for src, targets in store.alignments.items():
-        for dst, (relation, confidence) in targets.items():
-            if resolve(probe, src) is None or resolve(probe, dst) is None:
-                continue
-            alignments.setdefault(src, {})[dst] = (relation, confidence)
-    return OntologyStore(portions, alignments)
+    """Insert or replace a portion; links into it that no longer resolve are
+    pruned. When none is, the store's own alignment map and adjacency are kept."""
+    key = (portion.domain, portion.language)
+    dead = {
+        pair for pair in store.alignments
+        if any((ref.term.domain, ref.lang) == key and ref.term not in portion.terms for ref in pair)
+    }
+    if dead:
+        alignments = {pair: link for pair, link in store.alignments.items() if pair not in dead}
+        return OntologyStore({**store.portions, key: portion}, alignments)
+    new = OntologyStore({**store.portions, key: portion}, store.alignments)
+    if "adjacency" in vars(store):
+        vars(new)["adjacency"] = store.adjacency  # the cached_property's slot
+    return new
 
 
 def add_alignment(store: OntologyStore, *links: AlignmentLink) -> OntologyStore:
-    """Upsert symmetric links in order; one entry per unordered endpoint pair.
-    Every link is checked before the adjacency map is copied, once."""
+    """Upsert links in order; one entry per unordered endpoint pair.
+    Every endpoint is checked before the link map is copied, once."""
     for link in links:
-        if link.source.lang == link.target.lang:
-            raise SameLanguage(f"both endpoints are in language {link.source.lang!r}")
         require_term(store, link.source)
         require_term(store, link.target)
-    alignments = {src: dict(targets) for src, targets in store.alignments.items()}
+    alignments = dict(store.alignments)
     for link in links:
-        alignments.setdefault(link.source, {})[link.target] = (link.relation, link.confidence)
-        alignments.setdefault(link.target, {})[link.source] = (link.relation, link.confidence)
+        if str(link.target) < str(link.source):
+            link = link.reversed()
+        alignments[(link.source, link.target)] = link
     return OntologyStore(store.portions, alignments)
 
 
 def links_from(store: OntologyStore, ref: TermRef) -> tuple[AlignmentLink, ...]:
     """Outgoing links, sorted by (target language, target id)."""
-    targets = store.alignments.get(ref, {})
-    out = [
-        AlignmentLink(ref, dst, relation, confidence)
-        for dst, (relation, confidence) in targets.items()
-    ]
-    out.sort(key=lambda l: (l.target.lang, str(l.target.term)))
-    return tuple(out)
+    return store.adjacency.get(ref, ())
 
 
 def iter_links(store: OntologyStore) -> list[AlignmentLink]:
-    """Each stored pair exactly once, in canonical orientation (smaller ref first)."""
-    seen: set[tuple[TermRef, TermRef]] = set()
-    out: list[AlignmentLink] = []
-    for src in sorted(store.alignments, key=str):
-        for dst in sorted(store.alignments[src], key=str):
-            a, b = sorted((src, dst), key=str)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            relation, confidence = store.alignments[src][dst]
-            out.append(AlignmentLink(a, b, relation, confidence))
-    return out
+    """Each stored link once, in canonical orientation, sorted by endpoints."""
+    return sorted(store.alignments.values(), key=lambda l: (str(l.source), str(l.target)))
 
 
 # --- alignment persistence ---
@@ -508,17 +519,10 @@ def load_alignments(data: bytes) -> list[AlignmentLink]:
     for i, entry in enumerate(doc["links"]):
         path = f"$.links[{i}]"
         check_fields(entry, path, _LINK_FIELDS, {})
-        relation, confidence = entry["relation"], entry["confidence"]
-        if relation not in ALIGNMENT_RELATIONS:
-            raise SchemaViolation(f"{path}.relation", f"must be one of {ALIGNMENT_RELATIONS}")
-        if not 0.0 < confidence <= 1.0:
-            raise SchemaViolation(f"{path}.confidence", "must be in (0, 1]")
-        links.append(
-            AlignmentLink(
-                _parse_ref(entry["source"], f"{path}.source"),
-                _parse_ref(entry["target"], f"{path}.target"),
-                relation,
-                float(confidence),
-            )
-        )
+        source = _parse_ref(entry["source"], f"{path}.source")
+        target = _parse_ref(entry["target"], f"{path}.target")
+        try:
+            links.append(AlignmentLink(source, target, entry["relation"], entry["confidence"]))
+        except (InvariantViolation, SameLanguage) as exc:
+            raise SchemaViolation(path, exc.detail) from exc
     return links

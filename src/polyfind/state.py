@@ -47,6 +47,7 @@ log = logging.getLogger(__name__)
 
 _SERVICE_FILE_RE = re.compile(r"(s-[0-9]{6,})\.xml\Z")
 _PORTION_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.({LANGUAGE_RE.pattern})\.json\Z")
+_ALIGNMENT_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.json\Z")
 
 
 @dataclass(frozen=True)
@@ -85,58 +86,69 @@ def _services_dir(data_dir: Path) -> Path:
     return data_dir / "services"
 
 
-def _canonical_domain(link: onto.AlignmentLink) -> str:
-    return min(link.source.term.domain, link.target.term.domain)
+def _read_dir(directory: Path, name_re: re.Pattern, what: str, parse):
+    """Yield (path, name match, parsed content) for each file in name order.
+
+    Temporary files are skipped; a file with an unexpected name or content
+    fails startup by name."""
+    if not directory.is_dir():
+        return
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".tmp" or not path.is_file():
+            continue
+        m = name_re.match(path.name)
+        if not m:
+            raise StartupError(f"unexpected file in {directory.name}/: {path}")
+        try:
+            parsed = parse(path.read_bytes())
+        except PolyfindError as exc:
+            raise StartupError(f"corrupt {what} file {path}: {exc}") from exc
+        yield path, m, parsed
+
+
+def _alignment_files(store: onto.OntologyStore) -> dict[str, list[onto.AlignmentLink]]:
+    """The links of each alignment file, by domain. A canonical link's source
+    has the smaller domain, because '#' sorts before identifier characters."""
+    groups: dict[str, list[onto.AlignmentLink]] = {}
+    for link in onto.iter_links(store):
+        groups.setdefault(link.source.term.domain, []).append(link)
+    return groups
 
 
 def load_snapshot(data_dir: Path) -> Snapshot:
-    """Rebuild both stores from disk; any unreadable file fails startup by name."""
+    """Rebuild both stores from disk; any unreadable file fails startup by name.
+
+    Links to terms no portion holds are dropped, as a portion replace would
+    drop them, and their alignment file is rewritten without them."""
     store = onto.empty_store()
-    portion_dir = _portions_dir(data_dir)
-    if portion_dir.is_dir():
-        for path in sorted(portion_dir.iterdir()):
-            if path.suffix == ".tmp" or not path.is_file():
-                continue
-            m = _PORTION_FILE_RE.match(path.name)
-            if not m:
-                raise StartupError(f"unexpected file in portions/: {path}")
+    for path, m, portion in _read_dir(
+        _portions_dir(data_dir), _PORTION_FILE_RE, "portion", onto.load_portion
+    ):
+        if (portion.domain, portion.language) != (m.group(1), m.group(2)):
+            raise StartupError(f"portion file {path} holds {portion.domain}.{portion.language}")
+        violations = onto.validate_portion(portion)
+        if violations:
+            raise StartupError(
+                f"invalid portion file {path}: " + "; ".join(str(v) for v in violations)
+            )
+        store = onto.set_portion(store, portion)
+    for path, _, links in _read_dir(
+        _alignments_dir(data_dir), _ALIGNMENT_FILE_RE, "alignment", onto.load_alignments
+    ):
+        kept = [link for link in links if onto.resolves(store, link)]
+        if len(kept) < len(links):
+            log.warning("dropping %d links to missing terms from %s", len(links) - len(kept), path)
             try:
-                portion = onto.load_portion(path.read_bytes())
-            except PolyfindError as exc:
-                raise StartupError(f"corrupt portion file {path}: {exc}") from exc
-            if (portion.domain, portion.language) != (m.group(1), m.group(2)):
-                raise StartupError(
-                    f"portion file {path} holds {portion.domain}.{portion.language}"
-                )
-            violations = onto.validate_portion(portion)
-            if violations:
-                raise StartupError(
-                    f"invalid portion file {path}: " + "; ".join(str(v) for v in violations)
-                )
-            store = onto.set_portion(store, portion)
-    alignment_dir = _alignments_dir(data_dir)
-    if alignment_dir.is_dir():
-        for path in sorted(alignment_dir.iterdir()):
-            if path.suffix == ".tmp" or not path.is_file():
-                continue
-            try:
-                store = onto.add_alignment(store, *onto.load_alignments(path.read_bytes()))
-            except PolyfindError as exc:
-                raise StartupError(f"corrupt alignment file {path}: {exc}") from exc
-    descriptors = []
-    service_dir = _services_dir(data_dir)
-    if service_dir.is_dir():
-        for path in sorted(service_dir.iterdir()):
-            if path.suffix == ".tmp" or not path.is_file():
-                continue
-            m = _SERVICE_FILE_RE.match(path.name)
-            if not m:
-                raise StartupError(f"unexpected file in services/: {path}")
-            try:
-                parsed = parse_descriptor(path.read_bytes())
-            except PolyfindError as exc:
-                raise StartupError(f"corrupt service file {path}: {exc}") from exc
-            descriptors.append(replace(parsed, service_id=m.group(1)))
+                atomic_write_bytes(path, onto.save_alignments(kept))
+            except OSError as exc:
+                raise StartupError(f"cannot rewrite alignment file {path}: {exc}") from exc
+        store = onto.add_alignment(store, *kept)
+    descriptors = [
+        replace(parsed, service_id=m.group(1))
+        for _, m, parsed in _read_dir(
+            _services_dir(data_dir), _SERVICE_FILE_RE, "service", parse_descriptor
+        )
+    ]
     seq_path = data_dir / "seq"
     seq = 0
     if seq_path.exists():
@@ -190,17 +202,23 @@ class AppState:
         path = _portions_dir(self.data_dir) / f"{portion.domain}.{portion.language}.json"
         atomic_write_bytes(path, onto.save_portion(portion))
 
-    def _sync_alignment_files(self, store: onto.OntologyStore) -> None:
-        groups: dict[str, list[onto.AlignmentLink]] = {}
-        for link in onto.iter_links(store):
-            groups.setdefault(_canonical_domain(link), []).append(link)
-        directory = _alignments_dir(self.data_dir)
-        for domain, links in groups.items():
-            atomic_write_bytes(directory / f"{domain}.json", onto.save_alignments(links))
-        if directory.is_dir():
-            for path in directory.iterdir():
-                if path.suffix == ".json" and path.stem not in groups:
-                    path.unlink()
+    def _commit_portion(self, store: onto.OntologyStore, portion: onto.OntologyPortion) -> None:
+        """Persist a portion and the alignment files whose links changed,
+        then swap in the new store."""
+        self._persist_portion(portion)
+        before = self._snapshot.ontology
+        if store.alignments is not before.alignments:
+            old, new = _alignment_files(before), _alignment_files(store)
+            directory = _alignments_dir(self.data_dir)
+            for domain in sorted(old.keys() | new.keys()):
+                if old.get(domain) == new.get(domain):
+                    continue
+                path = directory / f"{domain}.json"
+                if domain in new:
+                    atomic_write_bytes(path, onto.save_alignments(new[domain]))
+                else:
+                    path.unlink(missing_ok=True)
+        self._snapshot = Snapshot(store, self._snapshot.registry)
 
     # --- writes ---
 
@@ -230,10 +248,7 @@ class AppState:
                 "portion is structurally invalid: " + "; ".join(str(v) for v in violations)
             )
         with self._lock:
-            new_store = onto.set_portion(self._snapshot.ontology, portion)
-            self._persist_portion(portion)
-            self._sync_alignment_files(new_store)
-            self._snapshot = Snapshot(new_store, self._snapshot.registry)
+            self._commit_portion(onto.set_portion(self._snapshot.ontology, portion), portion)
 
     def bind_service(self, service_id: str, requester_id: str) -> BindingTicket:
         with self._lock:
@@ -279,9 +294,7 @@ class AppState:
             with self._lock:
                 merged, report = imp.merge_portion(self._snapshot.ontology, fetched)
                 if report.outcome in ("imported", "upgraded"):
-                    self._persist_portion(merged.portions[key])
-                    self._sync_alignment_files(merged)
-                    self._snapshot = Snapshot(merged, self._snapshot.registry)
+                    self._commit_portion(merged, merged.portions[key])
             return report
         finally:
             with self._lock:

@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -16,11 +17,13 @@ from polyfind.errors import (
 )
 from polyfind.importer import RemoteRepoRef
 from polyfind import ontology as onto
+from polyfind import state as state_module
 from polyfind.ontology import (
     OntologyPortion,
     Relation,
     Term,
     TermId,
+    TermRef,
     iter_links,
     load_portion,
 )
@@ -200,6 +203,7 @@ class TestLoadSnapshot:
         ("seq", "²", "corrupt seq"),
         ("services/s-٠٠٠٠٠٩.xml", "hi", "unexpected file"),
         ("alignments/math.json", "{", "corrupt alignment"),
+        ("alignments/readme.txt", "hi", "unexpected file"),
     ])
     def test_startup_errors_name_the_file(self, tmp_path, relative, content, fragment):
         root = self.seeded_dir(tmp_path)
@@ -365,3 +369,90 @@ class TestAppState:
         assert [r.outcome for r in response.imports_triggered] == ["imported"]
         assert ("math", "en") in state.snapshot().ontology.portions
         assert response.results
+
+
+NEGATIVE = TermId("math", "negative_number")
+
+
+def fixture_data_dir(tmp_path):
+    """The data directory make_state(tmp_path) uses, holding the three
+    fixture portions and the fixture alignment file."""
+    data = tmp_path / "data"
+    for sub, sources in (("portions", PORTION_FILES), ("alignments", [ALIGNMENT_FILE])):
+        (data / sub).mkdir(parents=True)
+        for src in sources:
+            (data / sub / src.name).write_bytes(src.read_bytes())
+    return data
+
+
+def en_portion(drop_negative_number=False):
+    """The en fixture portion one version on, optionally without
+    math#negative_number, which two alignment links reach."""
+    en = load_portion(PORTION_FILES[1].read_bytes())
+    terms = dict(en.terms)
+    if drop_negative_number:
+        del terms[NEGATIVE]
+        number = TermId("math", "number")
+        terms[number] = replace(terms[number], relations=())
+    return replace(en, version=en.version + 1, terms=terms)
+
+
+def record_writes(monkeypatch):
+    written = []
+
+    def recording(path, data):
+        written.append(path.name)
+        atomic_write_bytes(path, data)
+
+    monkeypatch.setattr(state_module, "atomic_write_bytes", recording)
+    return written
+
+
+class TestAlignmentFiles:
+    def test_put_that_prunes_no_link_writes_only_the_portion(self, tmp_path, monkeypatch):
+        fixture_data_dir(tmp_path)
+        state = make_state(tmp_path)
+        written = record_writes(monkeypatch)
+        state.put_portion(en_portion())
+        assert written == ["math.en.json"]
+        assert len(iter_links(state.snapshot().ontology)) == 15
+
+    def test_put_that_prunes_rewrites_the_alignment_file(self, tmp_path):
+        data = fixture_data_dir(tmp_path)
+        state = make_state(tmp_path)
+        state.put_portion(en_portion(drop_negative_number=True))
+        stored = onto.load_alignments((data / "alignments" / "math.json").read_bytes())
+        assert stored == iter_links(state.snapshot().ontology)
+        assert len(stored) == 13
+        assert all(TermRef(NEGATIVE, "en") not in (l.source, l.target) for l in stored)
+        assert make_state(tmp_path).snapshot().ontology == state.snapshot().ontology
+
+    def test_crash_between_portion_and_alignment_writes(self, tmp_path, monkeypatch, caplog):
+        # A kill -9 inside put_portion, after the portion write and before
+        # the alignment write, leaves links to a term the portion dropped.
+        shrunk = en_portion(drop_negative_number=True)
+        crashed = fixture_data_dir(tmp_path / "crashed")
+        make_state(tmp_path / "crashed")._persist_portion(shrunk)
+        fixture_data_dir(tmp_path / "completed")
+        completed = make_state(tmp_path / "completed")
+        completed.put_portion(shrunk)
+
+        written = record_writes(monkeypatch)
+        with caplog.at_level("WARNING", logger="polyfind.state"):
+            recovered = load_snapshot(crashed)
+        assert recovered.ontology == completed.snapshot().ontology
+        assert written == ["math.json"]
+        assert "dropping 2 links" in caplog.text
+        assert load_snapshot(crashed).ontology == recovered.ontology
+        assert written == ["math.json"]
+
+    def test_unwritable_alignment_file_fails_startup_by_name(self, tmp_path, monkeypatch):
+        data = fixture_data_dir(tmp_path)
+        make_state(tmp_path)._persist_portion(en_portion(drop_negative_number=True))
+
+        def refusing(path, data):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr(state_module, "atomic_write_bytes", refusing)
+        with pytest.raises(StartupError, match="cannot rewrite alignment file .*math.json"):
+            load_snapshot(data)

@@ -184,6 +184,23 @@ class TestImport:
             with pytest.raises(ValidationFailed):
                 import_portion(repo, "math", "en", empty_store())
 
+    def test_same_language_link_between_unknown_terms(self, tmp_path):
+        root = copy_repo(tmp_path)
+        links = {
+            "links": [
+                {
+                    "source": {"term": "math#nowhere", "lang": "de"},
+                    "target": {"term": "math#elsewhere", "lang": "de"},
+                    "relation": "exact",
+                    "confidence": 1.0,
+                }
+            ]
+        }
+        (root / "alignments" / "math.json").write_text(json.dumps(links))
+        with serve_dir(root) as repo:
+            with pytest.raises(ValidationFailed, match=r"\$\.links\[0\]"):
+                import_portion(repo, "math", "en", empty_store())
+
     def test_malformed_portion_document(self, tmp_path):
         root = copy_repo(tmp_path)
         (root / "portions" / "math.fr.json").write_text("{ truncated")

@@ -347,10 +347,9 @@ class TestAlignments:
     def test_batch_with_one_bad_link_raises(self):
         store = self.build_store()
         good = AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "exact", 1.0)
-        same_language = AlignmentLink(TermRef(SQ, "ar"), TermRef(OP, "ar"), "exact", 1.0)
         unknown = AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "fr"), "exact", 1.0)
         with pytest.raises(SameLanguage):
-            add_alignment(store, good, same_language)
+            AlignmentLink(TermRef(SQ, "ar"), TermRef(OP, "ar"), "exact", 1.0)
         with pytest.raises(UnknownTerm):
             add_alignment(store, good, unknown)
         assert iter_links(store) == []
@@ -370,6 +369,39 @@ class TestAlignments:
             AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "exact", 0.0)
         with pytest.raises(InvariantViolation):
             AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "almost", 1.0)
+
+    def test_link_constructor_rejects_same_language(self):
+        with pytest.raises(SameLanguage):
+            AlignmentLink(TermRef(SQ, "en"), TermRef(OP, "en"), "exact", 1.0)
+
+    def test_same_language_entry_is_schema_violation(self):
+        doc = {"links": [{
+            "source": {"term": "math#square_root", "lang": "en"},
+            "target": {"term": "math#operation", "lang": "en"},
+            "relation": "exact",
+            "confidence": 1.0,
+        }]}
+        with pytest.raises(SchemaViolation) as err:
+            load_alignments(json.dumps(doc).encode())
+        assert err.value.path == "$.links[0]"
+
+    def test_each_link_stored_once_in_canonical_orientation(self):
+        store = self.build_store()
+        ref_ar, ref_en = TermRef(SQ, "ar"), TermRef(SQ, "en")
+        store = add_alignment(store, AlignmentLink(ref_en, ref_ar, "close", 0.5))
+        assert store.alignments == {
+            (ref_ar, ref_en): AlignmentLink(ref_ar, ref_en, "close", 0.5)
+        }
+        assert links_from(store, ref_en) is links_from(store, ref_en)
+
+    def test_replace_that_prunes_nothing_keeps_links_and_adjacency(self):
+        store = add_alignment(
+            self.build_store(), AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "exact", 1.0)
+        )
+        (link,) = links_from(store, TermRef(SQ, "en"))
+        replaced = set_portion(store, add_label(small_portion("en"), SQ, "radical"))
+        assert replaced.alignments is store.alignments
+        assert links_from(replaced, TermRef(SQ, "en"))[0] is link
 
     def test_alignment_file_round_trip(self):
         links = load_alignments(ALIGNMENT_FILE.read_bytes())
