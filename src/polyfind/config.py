@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, MalformedDocument, SchemaViolation
 from .importer import RemoteRepoRef
@@ -66,6 +67,19 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", port
 
 
+def _check_base_url(url: str, i: int) -> str:
+    """An http or https URL with a host, or ConfigError naming the entry."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(
+            f"$.remote_repos[{i}].base_url: {url!r} is not an http or https URL with a host"
+        )
+    return url
+
+
 def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = None) -> ServerConfig:
     """Read the config file (all keys optional) and apply env overrides."""
     env = os.environ if env is None else env
@@ -90,11 +104,11 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
 
     repos = []
     seen_names = set()
-    for entry in doc.get("remote_repos", []):
+    for i, entry in enumerate(doc.get("remote_repos", [])):
         if entry["name"] in seen_names:
             raise ConfigError(f"duplicate remote repo name {entry['name']!r}")
         seen_names.add(entry["name"])
-        repos.append(RemoteRepoRef(entry["name"], entry["base_url"]))
+        repos.append(RemoteRepoRef(entry["name"], _check_base_url(entry["base_url"], i)))
 
     depth = doc.get("expansion_depth", 1)
     if depth < 1:

@@ -119,7 +119,8 @@ def _search_pass(
     registry_store: RegistryStore,
     weights: Mapping[str, float] | None,
 ) -> list[ResultEntry]:
-    entries: dict[str, ResultEntry] = {}
+    # Each service has one language, so it is found in at most one pass.
+    entries: list[ResultEntry] = []
     for target_lang in reg.languages(registry_store):
         sources = _token_sources(raw_keywords, terms, query_lang, target_lang, ontology)
         if not sources:
@@ -142,18 +143,15 @@ def _search_pass(
                     if term in portion_terms
                 }
             )
-            entry = ResultEntry(
+            entries.append(ResultEntry(
                 service_id=match.service_id,
                 name=registry_store.descriptors[match.service_id].name,
                 language=match.language,
                 score=match.score * factor,
                 provenance=tuple(sorted(provenance, key=_provenance_key)),
                 requester_language_labels=tuple(labels),
-            )
-            current = entries.get(entry.service_id)
-            if current is None or entry.score > current.score:
-                entries[entry.service_id] = entry
-    return sorted(entries.values(), key=lambda e: (-e.score, e.service_id))
+            ))
+    return sorted(entries, key=lambda e: (-e.score, e.service_id))
 
 
 def discover(

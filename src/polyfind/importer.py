@@ -9,12 +9,14 @@ returns a fully updated store or raises, never a partial state.
 
 from __future__ import annotations
 
+import http.client
 import logging
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
 from .errors import (
+    InvariantViolation,
     MalformedCatalog,
     MalformedDocument,
     PortionNotFound,
@@ -29,9 +31,8 @@ from .ontology import (
     load_portion,
     resolves,
     set_portion,
-    validate_portion,
 )
-from .textutil import check_fields, load_json
+from .textutil import check_fields, check_identifier, check_language, load_json
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +74,7 @@ class _NotFound(Exception):
 
 
 def _fetch(url: str, timeout: float) -> bytes:
-    # One retry on transport errors; HTTP 404 is meaningful and not retried.
+    # One retry on transport errors and broken responses; a 404 is meaningful.
     last: Exception | None = None
     for attempt in range(2):
         try:
@@ -83,7 +84,7 @@ def _fetch(url: str, timeout: float) -> bytes:
             if exc.code == 404:
                 raise _NotFound(url) from exc
             raise RepoUnreachable(f"GET {url} answered HTTP {exc.code}") from exc
-        except (urllib.error.URLError, OSError) as exc:
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             last = exc
             if attempt == 0:
                 log.warning("retrying %s after %s", url, exc)
@@ -117,6 +118,8 @@ def fetch_portion_docs(
     repo: RemoteRepoRef, domain: str, language: str, timeout: float = DEFAULT_TIMEOUT
 ) -> FetchedPortion:
     """Pull the portion document and, when present, the domain's alignments."""
+    check_identifier(domain, "domain")
+    check_language(language)
     base = repo.base_url.rstrip("/")
     try:
         portion_doc = _fetch(f"{base}/portions/{domain}.{language}.json", timeout)
@@ -143,18 +146,12 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     """
     try:
         remote = load_portion(fetched.portion_doc)
-    except (MalformedDocument, SchemaViolation) as exc:
+    except (InvariantViolation, MalformedDocument, SchemaViolation) as exc:
         raise ValidationFailed(f"portion document from {fetched.repo!r}: {exc}") from exc
     if remote.domain != fetched.domain or remote.language != fetched.language:
         raise ValidationFailed(
             f"portion from {fetched.repo!r} says {remote.domain}.{remote.language},"
             f" expected {fetched.domain}.{fetched.language}"
-        )
-    violations = validate_portion(remote)
-    if violations:
-        raise ValidationFailed(
-            f"portion {fetched.domain}.{fetched.language} from {fetched.repo!r} is invalid: "
-            + "; ".join(str(v) for v in violations)
         )
     links = []
     if fetched.alignment_doc is not None:

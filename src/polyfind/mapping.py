@@ -147,7 +147,7 @@ def expand_terms(
             for rel in portion.terms[tid].relations:
                 if rel.kind == "narrower":
                     continue
-                if rel.target in portion.terms and rel.target not in distance:
+                if rel.target not in distance:
                     distance[rel.target] = hop
                     next_frontier.append(rel.target)
         frontier = next_frontier

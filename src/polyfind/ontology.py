@@ -93,10 +93,20 @@ class Term:
 
 @dataclass(frozen=True)
 class OntologyPortion:
+    """The terms of one (domain, language) pair; the constructor refuses a
+    portion that breaks any structural rule."""
+
     domain: str
     language: str
     version: int
     terms: Mapping[TermId, Term] = field(default_factory=dict)
+
+    def __post_init__(self):
+        violations = validate_portion(self)
+        if violations:
+            raise InvariantViolation(
+                "portion is structurally invalid: " + "; ".join(str(v) for v in violations)
+            )
 
 
 def create_portion(domain: str, language: str) -> OntologyPortion:
@@ -148,8 +158,6 @@ def add_label(portion: OntologyPortion, term_id: TermId, label: str) -> Ontology
     if term is None:
         raise UnknownTerm(f"no term {term_id} in {portion.domain}.{portion.language}")
     key = normalize_text(label)
-    if not key:
-        raise InvariantViolation("label must not normalize to the empty string")
     if any(normalize_text(existing) == key for existing in term.labels()):
         return portion
     new_term = replace(term, alt_labels=term.alt_labels + (label,))

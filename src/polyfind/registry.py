@@ -185,9 +185,7 @@ def find(
             MatchResult(
                 service_id=sid,
                 score=score,
-                matched_tokens=tuple(
-                    sorted(matched, key=lambda m: (m[0], FIELD_RANK[m[1]]))
-                ),
+                matched_tokens=tuple(matched),
                 language=store.descriptors[sid].language,
             )
         )

@@ -34,7 +34,6 @@ from .descriptor import ServiceDescriptor, parse_descriptor, serialize_descripto
 from .discovery import DiscoveryResponse, Query, discover
 from .errors import (
     ImportInProgress,
-    InvariantViolation,
     PolyfindError,
     StartupError,
     UnknownRepo,
@@ -126,11 +125,6 @@ def load_snapshot(data_dir: Path) -> Snapshot:
     ):
         if (portion.domain, portion.language) != (m.group(1), m.group(2)):
             raise StartupError(f"portion file {path} holds {portion.domain}.{portion.language}")
-        violations = onto.validate_portion(portion)
-        if violations:
-            raise StartupError(
-                f"invalid portion file {path}: " + "; ".join(str(v) for v in violations)
-            )
         store = onto.set_portion(store, portion)
     for path, _, links in _read_dir(
         _alignments_dir(data_dir), _ALIGNMENT_FILE_RE, "alignment", onto.load_alignments
@@ -242,11 +236,6 @@ class AppState:
             self._snapshot = Snapshot(self._snapshot.ontology, new_registry)
 
     def put_portion(self, portion: onto.OntologyPortion) -> None:
-        violations = onto.validate_portion(portion)
-        if violations:
-            raise InvariantViolation(
-                "portion is structurally invalid: " + "; ".join(str(v) for v in violations)
-            )
         with self._lock:
             self._commit_portion(onto.set_portion(self._snapshot.ontology, portion), portion)
 

@@ -6,6 +6,7 @@ import http.server
 import math
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -115,18 +116,46 @@ class _QuietHandler(http.server.SimpleHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def repo_server():
-    handler = partial(_QuietHandler, directory=str(REPO_ROOT))
+@contextmanager
+def _serve_repo(handler):
+    """Serve `handler` on a background thread; yields (base URL, server)."""
     httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=lambda: httpd.serve_forever(poll_interval=0.05), daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+        yield f"http://127.0.0.1:{httpd.server_address[1]}", httpd
     finally:
         httpd.shutdown()
         httpd.server_close()
         thread.join()
+
+
+@pytest.fixture()
+def repo_server():
+    with _serve_repo(partial(_QuietHandler, directory=str(REPO_ROOT))) as (url, _):
+        yield url
+
+
+class _TruncatingHandler(http.server.BaseHTTPRequestHandler):
+    """Records each path, promises a 100-byte body, sends 5 bytes, hangs up."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        self.send_response(200)
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b'{"dom')
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.fixture()
+def truncating_repo():
+    """A repository that breaks off every body; yields (base URL, requested paths)."""
+    with _serve_repo(_TruncatingHandler) as (url, httpd):
+        httpd.paths = []
+        yield url, httpd.paths
 
 
 # --- deterministic random data for oracle trials ---

@@ -8,15 +8,7 @@ from polyfind.cli import main
 from polyfind.config import ServerConfig
 from polyfind.httpserver import make_server
 from polyfind.importer import RemoteRepoRef
-from polyfind.ontology import (
-    OntologyPortion,
-    Relation,
-    Term,
-    TermId,
-    load_alignments,
-    load_portion,
-    save_portion,
-)
+from polyfind.ontology import load_alignments, load_portion
 
 from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, HELDOUT_DIR, PORTION_FILES, run_in_thread
 
@@ -135,16 +127,34 @@ class TestOntoEditor:
         assert "must look like kind:domain#local" in capsys.readouterr().err
 
     def test_validate_reports_cycle(self, tmp_path, capsys):
-        a, b = TermId("geo", "a"), TermId("geo", "b")
-        portion = OntologyPortion("geo", "en", 3, {
-            a: Term(a, "a", relations=(Relation("broader", b),)),
-            b: Term(b, "b", relations=(Relation("broader", a),)),
-        })
+        def term(local, broader):
+            return {
+                "id": f"geo#{local}", "preferred_label": local, "alt_labels": [],
+                "definition": None, "relations": [{"kind": "broader", "target": broader}],
+            }
+
         target = tmp_path / "cycle.json"
-        target.write_bytes(save_portion(portion))
+        target.write_text(json.dumps({
+            "domain": "geo", "language": "en", "version": 3,
+            "terms": [term("a", "geo#b"), term("b", "geo#a")],
+        }), "utf-8")
         assert main(["onto", "validate", str(target)]) == 1
-        out = capsys.readouterr().out
-        assert "broader-cycle" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: InvariantViolation: portion is structurally invalid:" in captured.err
+        assert "broader-cycle[geo#a, geo#b]" in captured.err
+
+    def test_add_term_refuses_an_unsound_result(self, tmp_path, capsys):
+        target = tmp_path / "geo.en.json"
+        main(["onto", "new", str(target), "--domain", "geo", "--lang", "en"])
+        before = target.read_bytes()
+        capsys.readouterr()
+        assert main([
+            "onto", "add-term", str(target), "--id", "geo#a", "--label", "a",
+            "--relation", "broader:geo#a",
+        ]) == 1
+        assert "self-relation[geo#a]" in capsys.readouterr().err
+        assert target.read_bytes() == before
 
     def test_show_missing_file(self, tmp_path, capsys):
         assert main(["onto", "show", str(tmp_path / "absent.json")]) == 1

@@ -10,7 +10,7 @@ from polyfind.descriptor import parse_descriptor
 from polyfind.errors import (
     ConfigError,
     ImportInProgress,
-    InvariantViolation,
+    PortionUnavailable,
     StartupError,
     UnknownRepo,
     UnknownService,
@@ -19,9 +19,6 @@ from polyfind.importer import RemoteRepoRef
 from polyfind import ontology as onto
 from polyfind import state as state_module
 from polyfind.ontology import (
-    OntologyPortion,
-    Relation,
-    Term,
     TermId,
     TermRef,
     iter_links,
@@ -85,7 +82,7 @@ class TestLoadConfig:
         {"remote_repos": [{"name": "a"}]},
         {"remote_repos": [{"name": "a", "base_url": "u", "extra": 1}]},
         {"remote_repos": [
-            {"name": "a", "base_url": "u"}, {"name": "a", "base_url": "v"},
+            {"name": "a", "base_url": "http://u"}, {"name": "a", "base_url": "http://v"},
         ]},
         {"expansion_depth": 0},
         {"expansion_depth": True},
@@ -100,10 +97,22 @@ class TestLoadConfig:
         {"remote_repos": 5},
         {"remote_repos": None},
         {"data_dir": 5},
+        {"remote_repos": [{"name": "a", "base_url": "repo.example"}]},
+        {"remote_repos": [{"name": "a", "base_url": "ftp://repo.example"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://[::1"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http:///x"}]},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc), env={})
+
+    def test_bad_base_url_names_its_entry(self, tmp_path):
+        path = write_config(tmp_path, {"remote_repos": [
+            {"name": "a", "base_url": "https://repo.example/tree/"},
+            {"name": "b", "base_url": "repo.example"},
+        ]})
+        with pytest.raises(ConfigError, match=r"^\$\.remote_repos\[1\]\.base_url: 'repo.example'"):
+            load_config(path, env={})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -204,6 +213,13 @@ class TestLoadSnapshot:
         ("services/s-٠٠٠٠٠٩.xml", "hi", "unexpected file"),
         ("alignments/math.json", "{", "corrupt alignment"),
         ("alignments/readme.txt", "hi", "unexpected file"),
+        pytest.param("portions/math.de.json", json.dumps({
+            "domain": "math", "language": "de", "version": 1, "terms": [{
+                "id": "math#a", "preferred_label": "a", "alt_labels": [], "definition": None,
+                "relations": [{"kind": "related", "target": "math#a"}],
+            }],
+        }), r"self-relation\[math#a\]",
+            id="portion-with-self-relation"),
     ])
     def test_startup_errors_name_the_file(self, tmp_path, relative, content, fragment):
         root = self.seeded_dir(tmp_path)
@@ -294,19 +310,6 @@ class TestAppState:
         with pytest.raises(UnknownService):
             state.remove_service(sid)
 
-    def test_put_portion_rejects_invalid_and_leaves_store(self, tmp_path):
-        state = make_state(tmp_path)
-        bad = OntologyPortion("math", "en", 1, {
-            TermId("math", "a"): Term(
-                TermId("math", "a"), "a",
-                relations=(Relation("related", TermId("math", "a")),),
-            ),
-        })
-        with pytest.raises(InvariantViolation):
-            state.put_portion(bad)
-        assert state.snapshot().ontology.portions == {}
-        assert not (tmp_path / "data" / "portions").exists()
-
     def test_bind_journal_lines(self, tmp_path):
         state = make_state(tmp_path)
         sid = state.publish_descriptor(DESCRIPTOR_FILES[1].read_bytes())
@@ -369,6 +372,20 @@ class TestAppState:
         assert [r.outcome for r in response.imports_triggered] == ["imported"]
         assert ("math", "en") in state.snapshot().ontology.portions
         assert response.results
+
+    @pytest.mark.parametrize("broken", ["down", "truncating"])
+    def test_discover_skips_a_broken_repo(self, tmp_path, truncating_repo, broken):
+        from polyfind.discovery import Query
+
+        url = "http://127.0.0.1:1" if broken == "down" else truncating_repo[0]
+        state = make_state(
+            tmp_path, remote_repos=(RemoteRepoRef("main", url),), network_timeout=5
+        )
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        with pytest.raises(PortionUnavailable):
+            state.discover(Query("square root", "math", "alice", "en"))
+        assert state.snapshot().ontology.portions == {}
 
 
 NEGATIVE = TermId("math", "negative_number")

@@ -162,6 +162,12 @@ class TestImport:
             with pytest.raises(ValidationFailed):
                 import_portion(repo, "math", "de", empty_store())
 
+    def test_truncated_body_is_unreachable(self, truncating_repo):
+        url, paths = truncating_repo
+        with pytest.raises(RepoUnreachable, match="IncompleteRead"):
+            fetch_portion_docs(RemoteRepoRef("cut", url), "math", "fr", timeout=5)
+        assert paths == ["/portions/math.fr.json"] * 2
+
     def test_missing_portion(self, repo_server):
         repo = RemoteRepoRef("fixture", repo_server)
         with pytest.raises(PortionNotFound):

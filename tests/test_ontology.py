@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from polyfind.errors import (
 )
 from polyfind.ontology import (
     AlignmentLink,
+    OntologyPortion,
     Relation,
     Term,
     TermId,
@@ -151,6 +153,13 @@ class TestLookupLabel:
         )
 
 
+def structural_error(build) -> str:
+    """The detail of the InvariantViolation that build() raises."""
+    with pytest.raises(InvariantViolation) as err:
+        build()
+    return err.value.detail
+
+
 class TestValidatePortion:
     def test_fixture_is_clean(self):
         assert validate_portion(small_portion()) == []
@@ -159,39 +168,54 @@ class TestValidatePortion:
 
     def test_broader_cycle(self):
         a, b = TermId("d", "a"), TermId("d", "b")
-        portion = add_terms(
+        detail = structural_error(lambda: add_terms(
             create_portion("d", "en"),
             [
                 Term(a, "a", relations=(Relation("broader", b),)),
                 Term(b, "b", relations=(Relation("broader", a),)),
             ],
-        )
-        rules = [v.rule for v in validate_portion(portion)]
-        assert "broader-cycle" in rules
-        cycle = next(v for v in validate_portion(portion) if v.rule == "broader-cycle")
-        assert set(cycle.terms) == {a, b}
+        ))
+        assert "broader-cycle[d#a, d#b]: broader edges form a cycle" in detail
 
     def test_missing_inverse(self):
         # Hand-built terms bypass add_terms, so no back-edge exists.
         a, b = TermId("d", "a"), TermId("d", "b")
-        portion = create_portion("d", "en")
         terms = {a: Term(a, "a", relations=(Relation("broader", b),)), b: Term(b, "b")}
-        portion = type(portion)(portion.domain, portion.language, 2, terms)
-        assert [v.rule for v in validate_portion(portion)] == ["missing-inverse"]
+        assert structural_error(lambda: OntologyPortion("d", "en", 2, terms)) == (
+            "portion is structurally invalid: missing-inverse[d#a, d#b]: "
+            "broader has no narrower back-edge"
+        )
 
     def test_self_relation_and_bad_version(self):
         a = TermId("d", "a")
-        portion = create_portion("d", "en")
-        portion = type(portion)("d", "en", 0, {a: Term(a, "a", relations=(Relation("related", a),))})
-        rules = sorted(v.rule for v in validate_portion(portion))
-        assert rules == ["self-relation", "version"]
+        terms = {a: Term(a, "a", relations=(Relation("related", a),))}
+        assert structural_error(lambda: OntologyPortion("d", "en", 0, terms)) == (
+            "portion is structurally invalid: self-relation[d#a]: related points at itself; "
+            "version[]: version 0 must be >= 1"
+        )
 
     def test_violation_str_names_rule_and_terms(self):
         a = TermId("d", "a")
-        portion = type(create_portion("d", "en"))("d", "en", 1, {a: Term(a, " ")})
-        (violation,) = validate_portion(portion)
-        assert violation.rule == "empty-label"
-        assert str(violation).startswith("empty-label[d#a]")
+        assert structural_error(lambda: OntologyPortion("d", "en", 1, {a: Term(a, " ")})) == (
+            "portion is structurally invalid: empty-label[d#a]: label ' ' normalizes to nothing"
+        )
+
+    def test_replace_and_load_check_the_portion(self):
+        portion = small_portion()
+        operation = portion.terms[OP]
+        looped = replace(operation, relations=operation.relations + (Relation("related", OP),))
+        detail = structural_error(
+            lambda: replace(portion, terms={**portion.terms, OP: looped})
+        )
+        assert detail == (
+            "portion is structurally invalid: self-relation[math#operation]: related points at itself"
+        )
+        doc = json.loads(save_portion(portion))
+        doc["terms"][0]["relations"] = []  # math#operation loses its narrower edge
+        detail = structural_error(lambda: load_portion(json.dumps(doc).encode()))
+        assert detail.startswith(
+            "portion is structurally invalid: missing-inverse[math#square_root, math#operation]"
+        )
 
 
 class TestPersistence:

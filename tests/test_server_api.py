@@ -1,6 +1,7 @@
 import http.client
 import json
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -48,6 +49,19 @@ def request(address, method, path, body=None, content_length=None):
         return response.status, doc
     finally:
         conn.close()
+
+
+@contextmanager
+def serving(config):
+    """A server for `config` on a background thread; yields its address."""
+    server = make_server(config)
+    thread = run_in_thread(server)
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +305,19 @@ class TestPortions:
         assert status == 400
         assert doc["error"] == "MalformedDocument"
 
+    def test_put_structurally_invalid_portion(self, tmp_path):
+        body = {"domain": "math", "language": "en", "version": 1, "terms": [{
+            "id": "math#a", "preferred_label": "a", "alt_labels": [], "definition": None,
+            "relations": [{"kind": "related", "target": "math#a"}],
+        }]}
+        data_dir = tmp_path / "data"
+        with serving(ServerConfig(host="127.0.0.1", port=0, data_dir=data_dir)) as address:
+            status, doc = request(address, "PUT", "/portions/math/en", body)
+        assert status == 400
+        assert doc["error"] == "InvariantViolation"
+        assert doc["detail"].startswith("portion is structurally invalid: self-relation[math#a]")
+        assert not (data_dir / "portions").exists()
+
 
 class TestImportRoute:
     @pytest.fixture()
@@ -335,3 +362,23 @@ class TestImportRoute:
         })
         assert status == 404
         assert doc["error"] == "PortionNotFound"
+
+    @pytest.mark.parametrize("domain, language, error", [
+        ("a b", "en", "InvalidIdentifier"),
+        ("x/../..", "en", "InvalidIdentifier"),
+        ("math", "EN!", "InvalidLanguageTag"),
+    ])
+    def test_bad_names_answer_400_without_a_fetch(
+        self, tmp_path, truncating_repo, domain, language, error
+    ):
+        url, paths = truncating_repo
+        config = ServerConfig(
+            host="127.0.0.1", port=0, data_dir=tmp_path / "data",
+            remote_repos=(RemoteRepoRef("cut", url),),
+        )
+        with serving(config) as address:
+            status, doc = request(address, "POST", "/ontology/import", {
+                "repo": "cut", "domain": domain, "language": language,
+            })
+        assert (status, doc["error"]) == (400, error)
+        assert paths == []
