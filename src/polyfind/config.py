@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -68,12 +69,14 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _check_base_url(url: str, i: int) -> str:
-    """An http or https URL with a host, or ConfigError naming the entry."""
+    """An http or https URL with a host and no space or control character
+    (which http.client refuses), or ConfigError naming the entry."""
     try:
         parts = urlsplit(url)
     except ValueError:
         parts = None
-    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or re.search(r"[\x00-\x20\x7f]", url)):
         raise ConfigError(
             f"$.remote_repos[{i}].base_url: {url!r} is not an http or https URL with a host"
         )

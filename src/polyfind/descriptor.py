@@ -1,6 +1,8 @@
 """Service descriptors: a small XML dialect, read with expat and written by hand.
 
-The accepted grammar is exactly:
+The grammar below is the one rule set for descriptors: the serializer reads
+back what it writes, so a descriptor built in code meets the same rules as a
+published document. The grammar is exactly:
 
     <service xml:lang name provider endpoint>
       <documentation>text</documentation>
@@ -25,8 +27,7 @@ of the offending construct.
 from __future__ import annotations
 
 import codecs
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NoReturn
 from urllib.parse import urlsplit
 from xml.parsers import expat
@@ -47,8 +48,6 @@ SIMPLE_TYPES = ("string", "integer", "decimal", "boolean")
 FIELD_NAMES = ("name", "operation", "documentation")
 
 _MAX_DEPTH = 32
-# Characters XML 1.0 cannot carry, even as character references.
-_NOT_XML_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _NO_ELEMENTS = expat.errors.codes[expat.errors.XML_ERROR_NO_ELEMENTS]
 _TAG_MISMATCH = expat.errors.codes[expat.errors.XML_ERROR_TAG_MISMATCH]
 
@@ -218,6 +217,13 @@ def _nonempty(element: _Element, attr: str, value: str) -> str:
     return value
 
 
+def _simple_type(element: _Element, value: str) -> str:
+    if value not in SIMPLE_TYPES:
+        _fail(f"unknown type {value!r}, expected one of {', '.join(SIMPLE_TYPES)}",
+              element.pos, InvalidType)
+    return value
+
+
 def _parse_operation(element: _Element) -> OperationSig:
     attrs = _take_attrs(element, ("name",))
     op_name = _nonempty(element, "name", attrs["name"])
@@ -235,27 +241,16 @@ def _parse_operation(element: _Element) -> OperationSig:
         if in_name in seen_inputs:
             _fail(f"duplicate input {in_name!r} in operation {op_name!r}", child.pos)
         seen_inputs.add(in_name)
-        if cattrs["type"] not in SIMPLE_TYPES:
-            _fail(
-                f"unknown type {cattrs['type']!r}, expected one of {', '.join(SIMPLE_TYPES)}",
-                child.pos,
-                InvalidType,
-            )
-        inputs.append((in_name, cattrs["type"]))
+        inputs.append((in_name, _simple_type(child, cattrs["type"])))
     if not children or children[0].name != "output":
         _fail(f"operation {op_name!r} requires an <output> child", element.pos, MissingElement)
     output = children.pop(0)
     oattrs = _take_attrs(output, ("type",))
     _require_leaf(output)
-    if oattrs["type"] not in SIMPLE_TYPES:
-        _fail(
-            f"unknown type {oattrs['type']!r}, expected one of {', '.join(SIMPLE_TYPES)}",
-            output.pos,
-            InvalidType,
-        )
+    output_type = _simple_type(output, oattrs["type"])
     if children:
         _fail(f"unexpected element <{children[0].name}> in <operation>", children[0].pos)
-    return OperationSig(op_name, documentation, tuple(inputs), oattrs["type"])
+    return OperationSig(op_name, documentation, tuple(inputs), output_type)
 
 
 def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
@@ -268,8 +263,11 @@ def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
     name = _nonempty(root, "name", attrs["name"])
     provider = _nonempty(root, "provider", attrs["provider"])
     endpoint = attrs["endpoint"]
-    parts = urlsplit(endpoint)
-    if not parts.scheme or not (parts.netloc or parts.path):
+    try:
+        parts = urlsplit(endpoint)
+    except ValueError:  # such as an unclosed IPv6 bracket
+        parts = None
+    if parts is None or not parts.scheme or not (parts.netloc or parts.path):
         _fail(f"endpoint {endpoint!r} must be an absolute URL", root.pos)
     if root.text.strip():
         _fail("<service> must not contain text", root.pos)
@@ -310,56 +308,7 @@ def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
     )
 
 
-# --- validation and canonical serialization ---
-
-
-def _check_text(value: str, what: str):
-    if _NOT_XML_CHAR_RE.search(value):
-        raise InvariantViolation(f"{what} contains a character XML cannot carry")
-
-
-def validate_descriptor(descriptor: ServiceDescriptor):
-    """Raise InvariantViolation unless the descriptor can be serialized."""
-    d = descriptor
-    if not LANGUAGE_RE.fullmatch(d.language):
-        raise InvariantViolation(f"bad language tag {d.language!r}")
-    for what, value in (("name", d.name), ("provider", d.provider)):
-        if not value.strip():
-            raise InvariantViolation(f"{what} must not be empty")
-        _check_text(value, what)
-    parts = urlsplit(d.endpoint)
-    if not parts.scheme or not (parts.netloc or parts.path):
-        raise InvariantViolation(f"endpoint {d.endpoint!r} must be an absolute URL")
-    _check_text(d.endpoint, "endpoint")
-    _check_text(d.documentation, "documentation")
-    for term, lang in d.category_terms:
-        if not isinstance(term, TermId):
-            raise InvariantViolation("category term must be a TermId")
-        if not LANGUAGE_RE.fullmatch(lang):
-            raise InvariantViolation(f"bad category language tag {lang!r}")
-    if not d.operations:
-        raise InvariantViolation("a service must declare at least one operation")
-    seen = set()
-    for op in d.operations:
-        if not op.name.strip():
-            raise InvariantViolation("operation name must not be empty")
-        if op.name in seen:
-            raise InvariantViolation(f"duplicate operation {op.name!r}")
-        seen.add(op.name)
-        _check_text(op.name, "operation name")
-        _check_text(op.documentation, "operation documentation")
-        in_seen = set()
-        for in_name, in_type in op.inputs:
-            if not in_name.strip():
-                raise InvariantViolation("input name must not be empty")
-            if in_name in in_seen:
-                raise InvariantViolation(f"duplicate input {in_name!r} in {op.name!r}")
-            in_seen.add(in_name)
-            _check_text(in_name, "input name")
-            if in_type not in SIMPLE_TYPES:
-                raise InvariantViolation(f"unknown input type {in_type!r}")
-        if op.output not in SIMPLE_TYPES:
-            raise InvariantViolation(f"unknown output type {op.output!r}")
+# --- canonical serialization ---
 
 
 # CR is written as a reference in text and in attributes, tab and LF in
@@ -374,8 +323,12 @@ def _esc_attr(value: str) -> str:
 
 
 def serialize_descriptor(descriptor: ServiceDescriptor) -> bytes:
-    """Canonical form: fixed attribute order, two-space indent, LF endings."""
-    validate_descriptor(descriptor)
+    """Canonical form: fixed attribute order, two-space indent, LF endings.
+
+    The bytes are read back with parse_descriptor and returned only if they
+    give the descriptor again (without its service id); otherwise, or if the
+    grammar refuses them, InvariantViolation is raised.
+    """
     d = descriptor
     lines = [
         f'<service xml:lang="{_esc_attr(d.language)}" name="{_esc_attr(d.name)}"'
@@ -393,7 +346,15 @@ def serialize_descriptor(descriptor: ServiceDescriptor) -> bytes:
         lines.append("  </operation>")
     lines.append("</service>")
     lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    # A lone surrogate passes into the bytes, where expat refuses it.
+    data = "\n".join(lines).encode("utf-8", "surrogatepass")
+    try:
+        stored = parse_descriptor(data)
+    except (InvalidLanguageTag, MalformedXml) as exc:
+        raise InvariantViolation(f"descriptor cannot be stored: {exc}") from None
+    if stored != replace(d, service_id=""):
+        raise InvariantViolation("descriptor cannot be stored: it reads back as another descriptor")
+    return data
 
 
 def tokenize(descriptor: ServiceDescriptor) -> list[FieldToken]:

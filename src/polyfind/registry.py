@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, Mapping
 
-from .descriptor import FIELD_NAMES, ServiceDescriptor, tokenize, validate_descriptor
+from .descriptor import FIELD_NAMES, ServiceDescriptor, tokenize
 from .errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from .textutil import normalize_text
 
@@ -68,7 +68,6 @@ def _field_counts(descriptor: ServiceDescriptor) -> dict[str, dict[str, int]]:
 
 def publish(store: RegistryStore, descriptor: ServiceDescriptor) -> tuple[RegistryStore, str]:
     """Assign the next id, index the descriptor, return (new store, id)."""
-    validate_descriptor(descriptor)
     if descriptor.service_id:
         raise InvariantViolation(
             f"descriptor already carries service id {descriptor.service_id!r}"

@@ -101,6 +101,10 @@ class TestLoadConfig:
         {"remote_repos": [{"name": "a", "base_url": "ftp://repo.example"}]},
         {"remote_repos": [{"name": "a", "base_url": "http://[::1"}]},
         {"remote_repos": [{"name": "a", "base_url": "http:///x"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://a b"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://a\tb"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://h/x y"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://h/\x7f"}]},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):

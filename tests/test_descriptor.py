@@ -1,5 +1,6 @@
 import gc
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from polyfind.descriptor import (
     parse_descriptor,
     serialize_descriptor,
     tokenize,
-    validate_descriptor,
 )
 from polyfind.errors import (
     InvalidLanguageTag,
@@ -72,7 +72,7 @@ class TestParseFixture:
     def test_all_fixtures_parse_and_validate(self):
         for path in DESCRIPTOR_FILES:
             descriptor = parse_descriptor(path.read_bytes())
-            validate_descriptor(descriptor)
+            serialize_descriptor(descriptor)
 
     def test_bom_and_declaration_accepted(self):
         raw = b"\xef\xbb\xbf<?xml version=\"1.0\"?>\n" + MINIMAL.encode()
@@ -196,9 +196,11 @@ class TestParseErrors:
             parse_descriptor(doc)
 
     def test_relative_endpoint(self):
-        doc = MINIMAL.replace('endpoint="https://e/x"', 'endpoint="no-scheme"')
-        with pytest.raises(MalformedXml):
-            parse_descriptor(doc)
+        for endpoint in ("no-scheme", "http://[x"):  # urlsplit cannot read the second
+            doc = MINIMAL.replace('endpoint="https://e/x"', f'endpoint="{endpoint}"')
+            with pytest.raises(MalformedXml) as err:
+                parse_descriptor(doc)
+            assert (err.value.line, err.value.column) == (1, 1)
 
     def test_empty_name(self):
         doc = MINIMAL.replace('name="Echo"', 'name="  "')
@@ -325,18 +327,33 @@ class TestSerialize:
     def test_validate_catches_duplicate_ops(self):
         op = OperationSig("echo", "", (), "string")
         with pytest.raises(InvariantViolation):
-            validate_descriptor(minimal(operations=(op, op)))
+            serialize_descriptor(minimal(operations=(op, op)))
 
     def test_validate_catches_bad_type(self):
         with pytest.raises(InvariantViolation):
-            validate_descriptor(minimal(operations=(OperationSig("op", "", (), "float"),)))
+            serialize_descriptor(minimal(operations=(OperationSig("op", "", (), "float"),)))
 
     def test_validate_catches_control_chars(self):
         with pytest.raises(InvariantViolation):
-            validate_descriptor(minimal(documentation="a\x01b"))
+            serialize_descriptor(minimal(documentation="a\x01b"))
         for not_xml in ("\ufffe", "\uffff", "\ud800"):
             with pytest.raises(InvariantViolation):
-                validate_descriptor(minimal(documentation=f"a{not_xml}b"))
+                serialize_descriptor(minimal(documentation=f"a{not_xml}b"))
+
+    @pytest.mark.parametrize("overrides", [
+        {"name": "  "},
+        {"language": "english"},
+        {"category_terms": ((TermId("a b", "c"), "en"),)},
+        {"endpoint": "http://[x"},
+    ], ids=["blank-name", "bad-language", "spaced-term", "unparsable-endpoint"])
+    def test_refusal_names_the_parser_error(self, overrides):
+        with pytest.raises(InvariantViolation, match="^descriptor cannot be stored: "):
+            serialize_descriptor(minimal(**overrides))
+
+    def test_refused_if_read_back_differs(self):
+        descriptor = minimal(category_terms=(("math#root", "en"),))  # a str, not a TermId
+        with pytest.raises(InvariantViolation, match="reads back as another descriptor"):
+            serialize_descriptor(descriptor)
 
     def test_descriptor_to_dict_shape(self):
         doc = descriptor_to_dict(parse_descriptor(EN_FIXTURE.read_bytes()))
@@ -405,6 +422,32 @@ def descriptors(draw):
     )
 
 
+_any = st.text(max_size=8)
+_any_type = st.sampled_from(SIMPLE_TYPES) | _any
+_any_overrides = {
+    "name": _any,
+    "documentation": _any,
+    "language": _any,
+    "provider": _any,
+    "endpoint": st.sampled_from(["http://[", "http://[x", "e:"]) | _any,
+    "category_terms": st.lists(st.tuples(
+        st.builds(TermId, _any | _ident, _any | _ident), st.sampled_from(["en"]) | _any,
+    ), max_size=2).map(tuple),
+    "operations": st.lists(st.builds(
+        OperationSig, _any | _ident, _any,
+        st.lists(st.tuples(_any | _ident, _any_type), max_size=2).map(tuple), _any_type,
+    ), max_size=2).map(tuple),
+    "service_id": _any,
+}
+
+
+@st.composite
+def any_descriptors(draw):
+    """A storable descriptor with up to two fields set to arbitrary values."""
+    fields = draw(st.lists(st.sampled_from(sorted(_any_overrides)), max_size=2, unique=True))
+    return replace(draw(descriptors()), **{f: draw(_any_overrides[f]) for f in fields})
+
+
 class TestProperties:
     @given(descriptors())
     def test_parse_serialize_identity(self, descriptor):
@@ -418,6 +461,14 @@ class TestProperties:
     @given(descriptors())
     def test_tokenize_invariant_under_reserialization(self, descriptor):
         assert tokenize(parse_descriptor(serialize_descriptor(descriptor))) == tokenize(descriptor)
+
+    @given(any_descriptors())
+    def test_serializer_refuses_or_reads_back_equal(self, descriptor):
+        try:
+            data = serialize_descriptor(descriptor)
+        except InvariantViolation:
+            return
+        assert parse_descriptor(data) == replace(descriptor, service_id="")
 
     @given(st.binary(max_size=200))
     def test_fuzz_smoke_never_crashes(self, data):

@@ -60,10 +60,6 @@ class TestPublish:
         with pytest.raises(InvariantViolation):
             publish(empty_registry(), descriptor)
 
-    def test_invalid_descriptor_rejected(self):
-        with pytest.raises(InvariantViolation):
-            publish(empty_registry(), simple(name="  "))
-
     def test_publish_does_not_mutate_input_store(self):
         store = empty_registry()
         publish(store, simple())

@@ -152,6 +152,14 @@ class TestServices:
         assert doc["error"] == "MalformedXml"
         assert "line" in doc["detail"]
 
+    def test_publish_unparsable_endpoint(self, api):
+        body = DESCRIPTOR_FILES[1].read_bytes().replace(
+            b'endpoint="https://math.example.com/sqrt"', b'endpoint="http://[x"')
+        status, doc = request(api, "POST", "/services", body)
+        assert status == 400
+        assert doc["error"] == "MalformedXml"
+        assert doc["detail"] == "endpoint 'http://[x' must be an absolute URL at line 1, column 1"
+
     def test_publish_without_body(self, api):
         conn = http.client.HTTPConnection(*api, timeout=10)
         try:
