@@ -69,14 +69,15 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _check_base_url(url: str, i: int) -> str:
-    """An http or https URL with a host and no space or control character
-    (which http.client refuses), or ConfigError naming the entry."""
+    """An http or https URL with a host, written in printable ASCII only
+    (http.client refuses a space or control character and cannot encode the
+    rest), or ConfigError naming the entry."""
     try:
         parts = urlsplit(url)
     except ValueError:
         parts = None
     if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
-            or re.search(r"[\x00-\x20\x7f]", url)):
+            or re.search(r"[^\x21-\x7e]", url)):
         raise ConfigError(
             f"$.remote_repos[{i}].base_url: {url!r} is not an http or https URL with a host"
         )

@@ -20,7 +20,7 @@ from .ontology import (
     lookup_label_kinds,
     require_term,
 )
-from .textutil import check_language, normalize_text
+from .textutil import check_language
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ def match_keywords(
     i = 0
     while i < len(keywords):
         if i + 1 < len(keywords):
-            phrase = normalize_text(f"{keywords[i]} {keywords[i + 1]}")
-            hits = lookup_label_kinds(portion, phrase)
+            consumed = f"{keywords[i]} {keywords[i + 1]}"
+            hits = lookup_label_kinds(portion, consumed)
             if hits:
-                consumed = f"{keywords[i]} {keywords[i + 1]}"
                 for tid, kind in hits:
                     matches.append(TermMatch(consumed, tid, portion.language, kind))
                 i += 2

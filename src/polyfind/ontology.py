@@ -108,6 +108,18 @@ class OntologyPortion:
                 "portion is structurally invalid: " + "; ".join(str(v) for v in violations)
             )
 
+    @cached_property
+    def label_index(self) -> dict[str, tuple[tuple[TermId, str], ...]]:
+        """Normalized label -> (term id, preferred|alt) pairs ordered by
+        str(term id), one per term, preferred winning; built on first lookup."""
+        index: dict[str, dict[TermId, str]] = {}
+        for tid in sorted(self.terms, key=str):
+            term = self.terms[tid]
+            index.setdefault(normalize_text(term.preferred_label), {})[tid] = "preferred"
+            for alt in term.alt_labels:
+                index.setdefault(normalize_text(alt), {}).setdefault(tid, "alt")
+        return {key: tuple(hits.items()) for key, hits in index.items()}
+
 
 def create_portion(domain: str, language: str) -> OntologyPortion:
     """New empty portion at version 1."""
@@ -168,17 +180,7 @@ def add_label(portion: OntologyPortion, term_id: TermId, label: str) -> Ontology
 
 def lookup_label_kinds(portion: OntologyPortion, label: str) -> list[tuple[TermId, str]]:
     """All (term id, preferred|alt) whose label normalizes equal to `label`."""
-    key = normalize_text(label)
-    if not key:
-        return []
-    hits: list[tuple[TermId, str]] = []
-    for tid in sorted(portion.terms, key=str):
-        term = portion.terms[tid]
-        if normalize_text(term.preferred_label) == key:
-            hits.append((tid, "preferred"))
-        elif any(normalize_text(alt) == key for alt in term.alt_labels):
-            hits.append((tid, "alt"))
-    return hits
+    return list(portion.label_index.get(normalize_text(label), ()))
 
 
 # --- structural validation ---

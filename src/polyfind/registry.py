@@ -1,6 +1,7 @@
 """Service registry: publication, an inverted index, ranked retrieval, binding.
 
-The store is a frozen snapshot; publish/remove return a new store. Scoring
+The store is a frozen snapshot; publish/remove return a new store that
+shares every postings entry the descriptor does not touch. Scoring
 is field-weighted tf-idf:
 
     score(d) = sum over matched tokens t, fields f of
@@ -75,9 +76,9 @@ def publish(store: RegistryStore, descriptor: ServiceDescriptor) -> tuple[Regist
     seq = store.last_seq + 1
     service_id = f"s-{seq:06d}"
     published = replace(descriptor, service_id=service_id)
-    postings = {token: dict(by_sid) for token, by_sid in store.postings.items()}
+    postings = dict(store.postings)
     for token, per_field in _field_counts(published).items():
-        postings.setdefault(token, {})[service_id] = per_field
+        postings[token] = {**postings.get(token, {}), service_id: per_field}
     langs = dict(store.doc_count_by_lang)
     langs[published.language] = langs.get(published.language, 0) + 1
     new_store = RegistryStore(
@@ -95,16 +96,20 @@ def get(store: RegistryStore, service_id: str) -> ServiceDescriptor:
 
 def remove(store: RegistryStore, service_id: str) -> RegistryStore:
     descriptor = get(store, service_id)
-    postings: dict[str, dict] = {}
-    for token, by_sid in store.postings.items():
-        remaining = {sid: fields for sid, fields in by_sid.items() if sid != service_id}
+    postings = dict(store.postings)
+    for token in _field_counts(descriptor):
+        remaining = dict(postings[token])
+        del remaining[service_id]
         if remaining:
             postings[token] = remaining
+        else:
+            del postings[token]
     langs = dict(store.doc_count_by_lang)
     langs[descriptor.language] -= 1
     if langs[descriptor.language] == 0:
         del langs[descriptor.language]
-    descriptors = {sid: d for sid, d in store.descriptors.items() if sid != service_id}
+    descriptors = dict(store.descriptors)
+    del descriptors[service_id]
     return RegistryStore(descriptors, postings, langs, store.last_seq)
 
 

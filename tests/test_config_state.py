@@ -105,10 +105,19 @@ class TestLoadConfig:
         {"remote_repos": [{"name": "a", "base_url": "http://a\tb"}]},
         {"remote_repos": [{"name": "a", "base_url": "http://h/x y"}]},
         {"remote_repos": [{"name": "a", "base_url": "http://h/\x7f"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://h/é"}]},
+        {"remote_repos": [{"name": "a", "base_url": "http://é.example/"}]},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc), env={})
+
+    def test_punycode_host_accepted(self, tmp_path):
+        path = write_config(tmp_path, {"remote_repos": [
+            {"name": "a", "base_url": "http://xn--e1afmkfd.example/"},
+        ]})
+        cfg = load_config(path, env={})
+        assert cfg.remote_repos == (RemoteRepoRef("a", "http://xn--e1afmkfd.example/"),)
 
     def test_bad_base_url_names_its_entry(self, tmp_path):
         path = write_config(tmp_path, {"remote_repos": [

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from polyfind import mapping, ontology
 from polyfind.errors import EmptyQuery, UnknownTerm
 from polyfind.mapping import expand_terms, match_keywords, path_to_dict, translate
 from polyfind.ontology import (
@@ -76,6 +77,36 @@ class TestMatchKeywords:
     def test_language_tag_carried(self, en_portion):
         matches, _ = match_keywords(["sqrt"], en_portion)
         assert matches[0].language == "en"
+
+
+class TestLookupCost:
+    KEYWORDS = ["fast", "w3", "w7", "w1", "banana", "w12", "w13"]
+
+    @staticmethod
+    def wide_portion(n):
+        terms = [Term(TermId("dom", f"t{i}"), f"w{i}", (f"w{i} w{i + 1}",)) for i in range(n)]
+        return add_terms(create_portion("dom", "en"), terms)
+
+    def normalize_calls(self, monkeypatch, portion):
+        match_keywords(self.KEYWORDS, portion)  # builds the label index
+        calls = [0]
+        original = ontology.normalize_text
+
+        def counted(text):
+            calls[0] += 1
+            return original(text)
+
+        for module in (ontology, mapping):
+            monkeypatch.setattr(module, "normalize_text", counted, raising=False)
+        result = match_keywords(self.KEYWORDS, portion)
+        monkeypatch.undo()
+        return calls[0], result
+
+    def test_calls_do_not_grow_with_the_portion(self, monkeypatch):
+        small_calls, small = self.normalize_calls(monkeypatch, self.wide_portion(20))
+        wide_calls, wide = self.normalize_calls(monkeypatch, self.wide_portion(2000))
+        assert small == wide
+        assert 0 < wide_calls == small_calls
 
 
 class TestTranslate:

@@ -153,6 +153,81 @@ class TestLookupLabel:
         )
 
 
+def brute_force_lookup(portion, label):
+    """The sorted full scan that the label index replaced: the oracle."""
+    key = normalize_text(label)
+    if not key:
+        return []
+    hits = []
+    for tid in sorted(portion.terms, key=str):
+        term = portion.terms[tid]
+        if normalize_text(term.preferred_label) == key:
+            hits.append((tid, "preferred"))
+        elif any(normalize_text(alt) == key for alt in term.alt_labels):
+            hits.append((tid, "alt"))
+    return hits
+
+
+# Labels that collide after normalization: case, whitespace runs, Arabic
+# tashkeel (U+064E, U+0652) and tatweel (U+0640).
+_COLLIDING_LABELS = [
+    "root", "Root", " ROOT ", "square root", "Square\t  Root", "sqrt",
+    "جذر", "جـذر", "جَذْر", "رقم", "رَقْم",
+]
+_index_label = st.sampled_from(_COLLIDING_LABELS) | st.text(
+    alphabet="abAB \tجذر\u064e\u0640", min_size=1, max_size=6
+).filter(lambda s: normalize_text(s) != "")
+
+
+@st.composite
+def labelled_portions(draw):
+    # Up to 12 terms, so str order (t10 < t2) differs from numeric order.
+    n = draw(st.integers(min_value=1, max_value=12))
+    batch = []
+    for i in range(n):
+        preferred = draw(_index_label)
+        alts = draw(st.lists(_index_label, max_size=3))
+        if draw(st.booleans()):
+            alts.append(preferred.upper())  # alt equal to the preferred label
+        if alts and draw(st.booleans()):
+            alts.append(alts[0])  # a duplicate alt label
+        batch.append(Term(TermId("dom", f"t{i}"), preferred, tuple(alts)))
+    language = draw(st.sampled_from(["en", "ar"]))
+    return add_terms(create_portion("dom", language), batch)
+
+
+class TestLabelIndex:
+    @given(
+        labelled_portions(),
+        st.lists(_index_label | st.sampled_from(["", "  ", "\t", "ـ", "َ"]), max_size=8),
+    )
+    def test_index_equals_brute_force_scan(self, portion, queries):
+        labels = [label for term in portion.terms.values() for label in term.labels()]
+        variants = [v for label in labels for v in (label, label.upper(), f"  {label}\t")]
+        for query in queries + variants:
+            assert lookup_label_kinds(portion, query) == brute_force_lookup(portion, query)
+
+    def test_shared_label_lists_each_term_once_in_id_order(self):
+        a, b = TermId("dom", "t10"), TermId("dom", "t2")
+        portion = add_terms(create_portion("dom", "en"), [
+            Term(b, "root", ("Root", "root")),
+            Term(a, "radix", ("ROOT",)),
+        ])
+        assert lookup_label_kinds(portion, "root") == [(a, "alt"), (b, "preferred")]
+
+    def test_edited_portion_sees_the_edit(self):
+        portion = small_portion()
+        assert lookup_label_kinds(portion, "radix") == []  # builds the index
+        new = TermId("math", "radix")
+        replaced = replace(portion, terms={**portion.terms, new: Term(new, "radix")})
+        assert lookup_label_kinds(replaced, "radix") == [(new, "preferred")]
+        added = add_terms(portion, [Term(new, "radix")])
+        assert lookup_label_kinds(added, "radix") == [(new, "preferred")]
+        labelled = add_label(portion, SQ, "Radix")
+        assert lookup_label_kinds(labelled, "radix") == [(SQ, "alt")]
+        assert lookup_label_kinds(portion, "radix") == []
+
+
 def structural_error(build) -> str:
     """The detail of the InvariantViolation that build() raises."""
     with pytest.raises(InvariantViolation) as err:

@@ -1,10 +1,13 @@
+import copy
 import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polyfind.descriptor import OperationSig, ServiceDescriptor
+from polyfind.descriptor import OperationSig, ServiceDescriptor, tokenize
 from polyfind.errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from polyfind.registry import (
     DEFAULT_FIELD_WEIGHTS,
@@ -144,6 +147,47 @@ class TestRemove:
         store, sid = publish(empty_registry(), simple(language="fr"))
         assert languages(store) == ["fr"]
         assert languages(remove(store, sid)) == []
+
+
+def check_write(old, new, descriptor):
+    """new must index exactly its descriptors, share every postings entry of
+    a token the descriptor does not hold, and hold no token with no service."""
+    rebuilt = registry_from_descriptors(new.descriptors.values())
+    assert new.postings == rebuilt.postings
+    assert new.doc_count_by_lang == rebuilt.doc_count_by_lang
+    touched = {ft.token for ft in tokenize(descriptor)}
+    for token, by_sid in old.postings.items():
+        if token not in touched:
+            assert new.postings[token] is by_sid
+        elif set(by_sid) == {descriptor.service_id}:
+            assert token not in new.postings  # removed its only holder
+
+
+class TestCopyOnWrite:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=16))
+    def test_publish_remove_sequences(self, steps):
+        store = empty_registry()
+        for do_remove, seed in steps:
+            before = copy.deepcopy(store)
+            if do_remove and store.descriptors:
+                ids = sorted(store.descriptors)
+                descriptor = store.descriptors[ids[seed % len(ids)]]
+                new = remove(store, descriptor.service_id)
+            else:
+                new, sid = publish(store, random_descriptor(random.Random(seed)))
+                descriptor = new.descriptors[sid]
+            assert store == before  # the input snapshot is never mutated
+            check_write(store, new, descriptor)
+            store = new
+
+    def test_remove_drops_a_token_only_its_service_held(self):
+        store, a = publish(empty_registry(), simple(name="Alpha", op="shared"))
+        store, b = publish(store, simple(name="Beta", op="shared"))
+        after = remove(store, a)
+        assert "alpha" not in after.postings
+        assert after.postings["beta"] is store.postings["beta"]
+        assert after.postings["shared"] == {b: {"operation": 1}}
+        assert store.postings["shared"].keys() == {a, b}
 
 
 class TestRebuild:
