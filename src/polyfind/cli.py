@@ -16,6 +16,7 @@ from .config import load_config
 from .errors import PolyfindError
 from .httpserver import make_server
 from .langdetect import detect, load_profiles, packaged_corpora_dir
+from .state import atomic_write_bytes
 from .textutil import DIGITS_RE, check_language
 
 DEFAULT_SERVER = "http://127.0.0.1:8080"
@@ -150,7 +151,7 @@ def _load_portion_file(path: str) -> onto.OntologyPortion:
 
 
 def _save_portion_file(path: str, portion: onto.OntologyPortion) -> None:
-    Path(path).write_bytes(onto.save_portion(portion))
+    atomic_write_bytes(Path(path), onto.save_portion(portion))
 
 
 def cmd_onto_new(args) -> int:
@@ -210,7 +211,7 @@ def cmd_onto_align(args) -> int:
     pair = {source, target}
     links = [l for l in links if {l.source, l.target} != pair]
     links.append(link)
-    path.write_bytes(onto.save_alignments(links))
+    atomic_write_bytes(path, onto.save_alignments(links))
     print(f"aligned {args.source} {args.relation} {args.target} ({args.confidence})")
     return 0
 

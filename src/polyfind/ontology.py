@@ -199,37 +199,40 @@ class Violation:
 
 def _broader_sccs(portion: OntologyPortion) -> list[list[TermId]]:
     # Tarjan over the broader-edge subgraph; iterative to survive deep chains.
-    graph = {
-        tid: [r.target for r in term.relations if r.kind == "broader" and r.target in portion.terms]
-        for tid, term in portion.terms.items()
-    }
-    index: dict[TermId, int] = {}
-    low: dict[TermId, int] = {}
-    on_stack: set[TermId] = set()
-    stack: list[TermId] = []
+    # Nodes are term positions in str order, so the loop hashes no TermId.
+    order = sorted(portion.terms, key=str)
+    position = {tid: i for i, tid in enumerate(order)}
+    graph = [
+        [position[r.target] for r in portion.terms[tid].relations
+         if r.kind == "broader" and r.target in position]
+        for tid in order
+    ]
+    n = len(order)
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack: list[int] = []
     sccs: list[list[TermId]] = []
     counter = 0
-    for root in sorted(graph, key=str):
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work = [(root, iter(graph[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
+                    on_stack[nxt] = True
                     work.append((nxt, iter(graph[nxt])))
                     advanced = True
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     low[node] = min(low[node], index[nxt])
             if advanced:
                 continue
@@ -241,12 +244,12 @@ def _broader_sccs(portion: OntologyPortion) -> list[list[TermId]]:
                 scc = []
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
+                    on_stack[member] = False
                     scc.append(member)
                     if member == node:
                         break
-                if len(scc) > 1 or any(node in graph[node] for node in scc):
-                    sccs.append(sorted(scc, key=str))
+                if len(scc) > 1 or node in graph[node]:
+                    sccs.append([order[member] for member in sorted(scc)])
     return sccs
 
 
@@ -309,8 +312,9 @@ def portion_to_dict(portion: OntologyPortion) -> dict:
 
 
 def save_portion(portion: OntologyPortion) -> bytes:
-    """Canonical serialization: terms sorted by id, stable key order."""
-    return (json.dumps(portion_to_dict(portion), ensure_ascii=False, indent=2) + "\n").encode()
+    """Compact canonical serialization: terms sorted by id, stable key order.
+    Unindented, so json uses its C encoder; the loader reads any layout."""
+    return (json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n").encode()
 
 
 # Document shapes; every key is required.
@@ -346,10 +350,18 @@ def load_portion(data: bytes) -> OntologyPortion:
     if not LANGUAGE_RE.fullmatch(language):
         raise SchemaViolation("$.language", f"bad language tag {language!r}")
     terms: dict[TermId, Term] = {}
+    ids: dict[str, TermId] = {}  # each id text parsed once; targets share the keys
+
+    def term_id(text: str, path: str) -> TermId:
+        tid = ids.get(text)
+        if tid is None:
+            tid = ids[text] = _parse_term_id(text, path)
+        return tid
+
     for i, entry in enumerate(doc["terms"]):
         path = f"$.terms[{i}]"
         check_fields(entry, path, _TERM_FIELDS, {})
-        tid = _parse_term_id(entry["id"], f"{path}.id")
+        tid = term_id(entry["id"], f"{path}.id")
         if tid in terms:
             raise SchemaViolation(f"{path}.id", f"duplicate term id {tid}")
         for j, alt in enumerate(entry["alt_labels"]):
@@ -361,8 +373,7 @@ def load_portion(data: bytes) -> OntologyPortion:
             check_fields(rel, rpath, _RELATION_FIELDS, {})
             if rel["kind"] not in RELATION_KINDS:
                 raise SchemaViolation(f"{rpath}.kind", f"must be one of {RELATION_KINDS}")
-            target = _parse_term_id(rel["target"], f"{rpath}.target")
-            relations.append(Relation(rel["kind"], target))
+            relations.append(Relation(rel["kind"], term_id(rel["target"], f"{rpath}.target")))
         terms[tid] = Term(
             tid,
             entry["preferred_label"],
@@ -512,7 +523,7 @@ def save_alignments(links: Iterable[AlignmentLink]) -> bytes:
             for link in links
         ]
     }
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode()
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode()
 
 
 def _parse_ref(value: object, path: str) -> TermRef:

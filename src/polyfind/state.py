@@ -198,7 +198,8 @@ class AppState:
 
     def _commit_portion(self, store: onto.OntologyStore, portion: onto.OntologyPortion) -> None:
         """Persist a portion and the alignment files whose links changed,
-        then swap in the new store."""
+        build the portion's label index and the store's adjacency, then swap
+        in the new store, so no reader builds an index after a write."""
         self._persist_portion(portion)
         before = self._snapshot.ontology
         if store.alignments is not before.alignments:
@@ -212,6 +213,7 @@ class AppState:
                     atomic_write_bytes(path, onto.save_alignments(new[domain]))
                 else:
                     path.unlink(missing_ok=True)
+        portion.label_index, store.adjacency  # fills both cached_property slots
         self._snapshot = Snapshot(store, self._snapshot.registry)
 
     # --- writes ---

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import types
 
@@ -155,6 +156,29 @@ class TestOntoEditor:
         ]) == 1
         assert "self-relation[geo#a]" in capsys.readouterr().err
         assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("command", [
+        ["add-label", "--id", "geo#river", "--label", "stream"],
+        ["align", "--source", "geo#river@en", "--target", "geo#fleuve@fr"],
+    ])
+    def test_interrupted_write_leaves_the_file_whole(self, tmp_path, monkeypatch, command):
+        target = tmp_path / "geo.en.json"
+        main(["onto", "new", str(target), "--domain", "geo", "--lang", "en"])
+        main(["onto", "add-term", str(target), "--id", "geo#river", "--label", "river"])
+        if command[0] == "align":
+            target = tmp_path / "links.json"
+            main(["onto", "align", str(target),
+                  "--source", "geo#lake@en", "--target", "geo#lac@fr"])
+        before = target.read_bytes()
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed before the rename"):
+            main(["onto", command[0], str(target), *command[1:]])
+        assert target.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_show_missing_file(self, tmp_path, capsys):
         assert main(["onto", "show", str(tmp_path / "absent.json")]) == 1

@@ -15,7 +15,9 @@ from polyfind.errors import (
     UnknownRepo,
     UnknownService,
 )
+from polyfind.discovery import Query
 from polyfind.importer import RemoteRepoRef
+from polyfind import langdetect, registry, textutil
 from polyfind import ontology as onto
 from polyfind import state as state_module
 from polyfind.ontology import (
@@ -486,3 +488,60 @@ class TestAlignmentFiles:
         monkeypatch.setattr(state_module, "atomic_write_bytes", refusing)
         with pytest.raises(StartupError, match="cannot rewrite alignment file .*math.json"):
             load_snapshot(data)
+
+
+def discover_counting_normalize(monkeypatch, state, query):
+    """(normalize_text calls, response) of one discover, counted through the
+    module globals of every module that calls normalize_text."""
+    calls = [0]
+    original = textutil.normalize_text
+
+    def counted(text):
+        calls[0] += 1
+        return original(text)
+
+    with monkeypatch.context() as patched:
+        for module in (textutil, onto, registry, langdetect):
+            patched.setattr(module, "normalize_text", counted)
+        response = state.discover(query)
+    return calls[0], response
+
+
+class TestWriterBuildsIndexes:
+    """A put or an import publishes a snapshot whose indexes are built, so
+    the first discover after it does no more work than the next one."""
+
+    QUERY = Query("square root", "math", "alice", "en")
+
+    def assert_indexes_built(self, state, monkeypatch):
+        store = state.snapshot().ontology
+        assert "label_index" in vars(store.portions[("math", "en")])
+        assert "adjacency" in vars(store)
+        first = discover_counting_normalize(monkeypatch, state, self.QUERY)
+        assert first[1].results
+        assert first == discover_counting_normalize(monkeypatch, state, self.QUERY)
+
+    @pytest.mark.parametrize("prune", [False, True], ids=["prunes-no-link", "prunes-links"])
+    def test_put(self, tmp_path, monkeypatch, prune):
+        fixture_data_dir(tmp_path)
+        state = make_state(tmp_path)
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        state.put_portion(en_portion(drop_negative_number=prune))
+        assert len(iter_links(state.snapshot().ontology)) == (13 if prune else 15)
+        self.assert_indexes_built(state, monkeypatch)
+
+    def test_import(self, tmp_path, monkeypatch, repo_server):
+        state = make_state(tmp_path, remote_repos=(RemoteRepoRef("fixture", repo_server),))
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        assert state.import_portion("fixture", "math", "en").outcome == "imported"
+        self.assert_indexes_built(state, monkeypatch)
+
+    def test_put_writes_compact_canonical_json(self, tmp_path):
+        state = make_state(tmp_path)
+        portion = en_portion()
+        state.put_portion(portion)
+        stored = (tmp_path / "data" / "portions" / "math.en.json").read_bytes()
+        assert stored == onto.save_portion(portion)
+        assert b"\n " not in stored

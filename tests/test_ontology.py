@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -293,6 +294,75 @@ class TestValidatePortion:
         )
 
 
+def violation_texts(terms):
+    """validate_portion's verdict, as text, on terms no portion may hold:
+    the constructor raises with every violation."""
+    try:
+        OntologyPortion("d", "en", 1, terms)
+    except InvariantViolation as exc:
+        return exc.detail.removeprefix("portion is structurally invalid: ").split("; ")
+    return []
+
+
+def brute_force_violations(broader, back_edges):
+    """The oracle: self-relation and missing-inverse per edge, and one
+    broader-cycle per group of mutually reachable terms on a cycle."""
+    reach = {}
+    for tid in broader:
+        seen, todo = set(), list(broader[tid])
+        while todo:
+            nxt = todo.pop()
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.extend(broader[nxt])
+        reach[tid] = seen
+    out = set()
+    for tid, targets in broader.items():
+        for target in targets:
+            if target == tid:
+                out.add(("self-relation", (tid,), "broader points at itself"))
+            elif (target, tid) not in back_edges:
+                out.add(("missing-inverse", (tid, target), "broader has no narrower back-edge"))
+        if tid in reach[tid]:
+            group = sorted((u for u in broader if u in reach[tid] and tid in reach[u]), key=str)
+            out.add(("broader-cycle", tuple(group), "broader edges form a cycle"))
+    return [
+        f"{rule}[{', '.join(str(t) for t in tids)}]: {detail}"
+        for rule, tids, detail in sorted(out, key=lambda v: (v[0], tuple(map(str, v[1])), v[2]))
+    ]
+
+
+@st.composite
+def broader_graphs(draw):
+    # Up to 12 terms, so str order (d#t10 < d#t2) differs from numeric order;
+    # self-edges allowed; each back-edge present or not.
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = [TermId("d", f"t{i}") for i in range(n)]
+    broader = {
+        tid: draw(st.lists(st.sampled_from(ids), unique=True, max_size=3)) for tid in ids
+    }
+    back_edges = {
+        (target, tid)
+        for tid, targets in broader.items() for target in targets
+        if target != tid and draw(st.booleans())
+    }
+    return broader, back_edges
+
+
+class TestBroaderCycleOracle:
+    @given(broader_graphs())
+    def test_violations_equal_brute_force(self, graph):
+        broader, back_edges = graph
+        terms = {
+            tid: Term(tid, str(tid), relations=(
+                *(Relation("broader", t) for t in targets),
+                *(Relation("narrower", src) for tgt, src in sorted(back_edges) if tgt == tid),
+            ))
+            for tid, targets in broader.items()
+        }
+        assert violation_texts(terms) == brute_force_violations(broader, back_edges)
+
+
 class TestPersistence:
     def test_round_trip_fixture(self):
         portion = small_portion()
@@ -333,6 +403,51 @@ class TestPersistence:
         portion = small_portion()
         assert save_portion(portion) == save_portion(portion)
         assert save_portion(portion).endswith(b"\n")
+
+    @pytest.mark.parametrize("path", [*PORTION_FILES, ALIGNMENT_FILE], ids=lambda p: p.name)
+    def test_indented_files_load_equal_to_their_compact_rewrite(self, path):
+        indented = path.read_bytes()
+        assert b"\n " in indented
+        compact = (json.dumps(json.loads(indented), ensure_ascii=False) + "\n").encode()
+        load, save = (
+            (load_alignments, save_alignments) if path == ALIGNMENT_FILE
+            else (load_portion, save_portion)
+        )
+        assert load(compact) == load(indented)
+        assert save(load(indented)) == compact
+
+    @pytest.mark.parametrize("mutate, path", [
+        (lambda doc: doc.update(domain="ma th"), "$.domain"),
+        (lambda doc: doc.update(language="english"), "$.language"),
+        (lambda doc: doc["terms"][1].update(id=doc["terms"][0]["id"]), "$.terms[1].id"),
+        # terms[0] (math#operation) names math#square_root as a narrower
+        # target; terms[1] then defines it, which is no duplicate, and
+        # terms[2] defines it again.
+        (lambda doc: doc["terms"][1].update(id="math#square_root"), "$.terms[2].id"),
+        (lambda doc: doc["terms"][0].update(alt_labels=[3]), "$.terms[0].alt_labels[0]"),
+        (
+            lambda doc: doc["terms"][0]["relations"][0].update(kind="sideways"),
+            "$.terms[0].relations[0].kind",
+        ),
+    ], ids=[
+        "bad-domain", "bad-language", "duplicate-id", "duplicate-of-a-target",
+        "non-string-alt-label", "bad-relation-kind",
+    ])
+    def test_schema_violation_names_its_path(self, mutate, path):
+        doc = json.loads(save_portion(small_portion()))
+        assert doc["terms"][0]["relations"][0] == {"kind": "narrower", "target": str(SQ)}
+        mutate(doc)
+        with pytest.raises(SchemaViolation) as err:
+            load_portion(json.dumps(doc).encode())
+        assert err.value.path == path
+
+    def test_relation_targets_are_the_term_keys(self):
+        for portion in [small_portion(), *map(load_portion, map(Path.read_bytes, PORTION_FILES))]:
+            loaded = load_portion(save_portion(portion))
+            keys = {tid: tid for tid in loaded.terms}
+            targets = [rel.target for term in loaded.terms.values() for rel in term.relations]
+            assert targets
+            assert all(keys[target] is target for target in targets)
 
 
 _label = st.text(
