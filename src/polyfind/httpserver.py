@@ -162,7 +162,9 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, portion_to_dict(portion))
 
     def handle_put_portion(self, domain: str, language: str):
-        portion = load_portion(_read_body(self))
+        # The held portion only spares re-checking the terms the body repeats.
+        base = self.app.snapshot().ontology.portions.get((domain, language))
+        portion = load_portion(_read_body(self), base=base)
         if portion.domain != domain or portion.language != language:
             raise SchemaViolation(
                 "$", f"body holds {portion.domain}.{portion.language}, path says {domain}.{language}"

@@ -114,11 +114,36 @@ class OntologyPortion:
         str(term id), one per term, preferred winning; built on first lookup."""
         index: dict[str, dict[TermId, str]] = {}
         for tid in sorted(self.terms, key=str):
-            term = self.terms[tid]
-            index.setdefault(normalize_text(term.preferred_label), {})[tid] = "preferred"
-            for alt in term.alt_labels:
-                index.setdefault(normalize_text(alt), {}).setdefault(tid, "alt")
+            _add_labels(index, tid, self.terms[tid])
         return {key: tuple(hits.items()) for key, hits in index.items()}
+
+
+def _add_labels(index: dict[str, dict[TermId, str]], tid: TermId, term: Term) -> None:
+    """File `tid` under each of the term's normalized labels, preferred winning."""
+    index.setdefault(normalize_text(term.preferred_label), {})[tid] = "preferred"
+    for alt in term.alt_labels:
+        index.setdefault(normalize_text(alt), {}).setdefault(tid, "alt")
+
+
+def _patched_index(base: OntologyPortion, changed: list[Term]) -> dict:
+    """base.label_index with the changed terms re-keyed: their pairs leave
+    the keys of their base labels and join those of their new labels."""
+    ids = {term.id for term in changed}
+    fresh: dict[str, dict[TermId, str]] = {}
+    for term in changed:
+        old = base.terms.get(term.id)
+        for label in () if old is None else old.labels():
+            fresh.setdefault(normalize_text(label), {})
+        _add_labels(fresh, term.id, term)
+    index = dict(base.label_index)
+    for key, hits in fresh.items():
+        kept = [pair for pair in index.get(key, ()) if pair[0] not in ids]
+        pairs = sorted([*kept, *hits.items()], key=lambda pair: str(pair[0]))
+        if pairs:
+            index[key] = tuple(pairs)
+        else:
+            index.pop(key, None)
+    return index
 
 
 def create_portion(domain: str, language: str) -> OntologyPortion:
@@ -197,13 +222,13 @@ class Violation:
         return f"{self.rule}[{names}]: {self.detail}"
 
 
-def _broader_sccs(portion: OntologyPortion) -> list[list[TermId]]:
+def _broader_sccs(terms: Mapping[TermId, Term]) -> list[list[TermId]]:
     # Tarjan over the broader-edge subgraph; iterative to survive deep chains.
     # Nodes are term positions in str order, so the loop hashes no TermId.
-    order = sorted(portion.terms, key=str)
+    order = sorted(terms, key=str)
     position = {tid: i for i, tid in enumerate(order)}
     graph = [
-        [position[r.target] for r in portion.terms[tid].relations
+        [position[r.target] for r in terms[tid].relations
          if r.kind == "broader" and r.target in position]
         for tid in order
     ]
@@ -253,36 +278,43 @@ def _broader_sccs(portion: OntologyPortion) -> list[list[TermId]]:
     return sccs
 
 
+def _check_term(
+    domain: str, terms: Mapping[TermId, Term], tid: TermId, out: list[Violation]
+) -> None:
+    """Append the term under `tid`'s violations of the per-term rules."""
+    term = terms[tid]
+    if tid.domain != domain:
+        out.append(Violation("term-domain", (tid,), f"domain {tid.domain!r} != portion domain"))
+    for label in term.labels():
+        if not normalize_text(label):
+            out.append(Violation("empty-label", (tid,), f"label {label!r} normalizes to nothing"))
+    for rel in term.relations:
+        if rel.target == tid:
+            out.append(Violation("self-relation", (tid,), f"{rel.kind} points at itself"))
+        elif rel.target not in terms:
+            out.append(
+                Violation("dangling-relation", (tid, rel.target), f"{rel.kind} target missing")
+            )
+        else:
+            inv = _INVERSE.get(rel.kind)
+            if inv and Relation(inv, tid) not in terms[rel.target].relations:
+                out.append(
+                    Violation(
+                        "missing-inverse",
+                        (tid, rel.target),
+                        f"{rel.kind} has no {inv} back-edge",
+                    )
+                )
+
+
 def validate_portion(portion: OntologyPortion) -> list[Violation]:
     """Structural checks; returns all violations, empty list when sound."""
     out: list[Violation] = []
     if portion.version < 1:
         out.append(Violation("version", (), f"version {portion.version} must be >= 1"))
     for tid in sorted(portion.terms, key=str):
-        term = portion.terms[tid]
-        if tid.domain != portion.domain:
-            out.append(Violation("term-domain", (tid,), f"domain {tid.domain!r} != portion domain"))
-        for label in term.labels():
-            if not normalize_text(label):
-                out.append(Violation("empty-label", (tid,), f"label {label!r} normalizes to nothing"))
-        for rel in term.relations:
-            if rel.target == tid:
-                out.append(Violation("self-relation", (tid,), f"{rel.kind} points at itself"))
-            elif rel.target not in portion.terms:
-                out.append(
-                    Violation("dangling-relation", (tid, rel.target), f"{rel.kind} target missing")
-                )
-            else:
-                inv = _INVERSE.get(rel.kind)
-                if inv and Relation(inv, tid) not in portion.terms[rel.target].relations:
-                    out.append(
-                        Violation(
-                            "missing-inverse",
-                            (tid, rel.target),
-                            f"{rel.kind} has no {inv} back-edge",
-                        )
-                    )
-    for scc in _broader_sccs(portion):
+        _check_term(portion.domain, portion.terms, tid, out)
+    for scc in _broader_sccs(portion.terms):
         out.append(Violation("broader-cycle", tuple(scc), "broader edges form a cycle"))
     out.sort(key=lambda v: (v.rule, tuple(str(t) for t in v.terms), v.detail))
     return out
@@ -291,23 +323,23 @@ def validate_portion(portion: OntologyPortion) -> list[Violation]:
 # --- portion persistence (canonical JSON) ---
 
 
+def _term_to_dict(term: Term) -> dict:
+    """One term as portion_to_dict emits it."""
+    return {
+        "id": str(term.id),
+        "preferred_label": term.preferred_label,
+        "alt_labels": list(term.alt_labels),
+        "definition": term.definition,
+        "relations": [{"kind": r.kind, "target": str(r.target)} for r in term.relations],
+    }
+
+
 def portion_to_dict(portion: OntologyPortion) -> dict:
     return {
         "domain": portion.domain,
         "language": portion.language,
         "version": portion.version,
-        "terms": [
-            {
-                "id": str(term.id),
-                "preferred_label": term.preferred_label,
-                "alt_labels": list(term.alt_labels),
-                "definition": term.definition,
-                "relations": [
-                    {"kind": r.kind, "target": str(r.target)} for r in term.relations
-                ],
-            }
-            for term in (portion.terms[tid] for tid in sorted(portion.terms, key=str))
-        ],
+        "terms": [_term_to_dict(portion.terms[tid]) for tid in sorted(portion.terms, key=str)],
     }
 
 
@@ -339,8 +371,14 @@ def _parse_term_id(value: str, path: str) -> TermId:
         raise SchemaViolation(path, str(exc)) from exc
 
 
-def load_portion(data: bytes) -> OntologyPortion:
-    """Parse and schema-check a portion document. Unknown fields are errors."""
+def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPortion:
+    """Parse and schema-check a portion document. Unknown fields are errors.
+
+    `base`, an earlier result of this function such as the portion a server
+    holds for the same (domain, language), only saves work: the result, or
+    the error, is the one load_portion(data) gives. An entry equal to the
+    dict portion_to_dict emits for the base term with its id is input that
+    passed every check, so it reuses that Term; see _rebased for the rest."""
     doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
     domain, language, version = doc["domain"], doc["language"], doc["version"]
     if version < 1:
@@ -349,8 +387,13 @@ def load_portion(data: bytes) -> OntologyPortion:
         raise SchemaViolation("$.domain", f"bad domain {domain!r}")
     if not LANGUAGE_RE.fullmatch(language):
         raise SchemaViolation("$.language", f"bad language tag {language!r}")
+    if base is not None and (base.domain, base.language) != (domain, language):
+        base = None
+    known = {} if base is None else {str(tid): term for tid, term in base.terms.items()}
     terms: dict[TermId, Term] = {}
-    ids: dict[str, TermId] = {}  # each id text parsed once; targets share the keys
+    changed: list[Term] = []  # the terms not reused from base
+    # Each id text parsed once; targets share the keys, and the base's.
+    ids: dict[str, TermId] = {text: term.id for text, term in known.items()}
 
     def term_id(text: str, path: str) -> TermId:
         tid = ids.get(text)
@@ -359,6 +402,14 @@ def load_portion(data: bytes) -> OntologyPortion:
         return tid
 
     for i, entry in enumerate(doc["terms"]):
+        text = entry.get("id") if known and isinstance(entry, dict) else None
+        old = known.get(text) if isinstance(text, str) else None
+        if old is not None and entry == _term_to_dict(old):
+            size = len(terms)
+            terms[old.id] = old
+            if len(terms) == size:
+                raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {old.id}")
+            continue
         path = f"$.terms[{i}]"
         check_fields(entry, path, _TERM_FIELDS, {})
         tid = term_id(entry["id"], f"{path}.id")
@@ -374,14 +425,62 @@ def load_portion(data: bytes) -> OntologyPortion:
             if rel["kind"] not in RELATION_KINDS:
                 raise SchemaViolation(f"{rpath}.kind", f"must be one of {RELATION_KINDS}")
             relations.append(Relation(rel["kind"], term_id(rel["target"], f"{rpath}.target")))
-        terms[tid] = Term(
+        term = Term(
             tid,
             entry["preferred_label"],
             tuple(entry["alt_labels"]),
             entry["definition"],
             tuple(relations),
         )
-    return OntologyPortion(domain, language, version, terms)
+        terms[tid] = term
+        changed.append(term)
+    if base is None:
+        return OntologyPortion(domain, language, version, terms)
+    return _rebased(base, domain, language, version, terms, changed)
+
+
+def _rebased(
+    base: OntologyPortion,
+    domain: str,
+    language: str,
+    version: int,
+    terms: dict[TermId, Term],
+    changed: list[Term],
+) -> OntologyPortion:
+    """The portion of `terms`: the base's terms, unchanged but for `changed`.
+
+    When every base term is kept, the unchanged ones passed every rule in
+    base, and only a changed term can break one for them: its own relations,
+    or a back-edge that one of its base broader/narrower neighbours relies
+    on. The broader graph differs from the base's, which has no cycle, only
+    if a broader edge changed. A dropped term, which any term may have
+    named, or a violation found here goes to the constructor's full check."""
+    kept = len(terms) - len(changed) + sum(term.id in base.terms for term in changed)
+    if kept < len(base.terms):
+        return OntologyPortion(domain, language, version, terms)
+    check = set()
+    broader_changed = False
+    for term in changed:
+        check.add(term.id)
+        old = base.terms.get(term.id)
+        old_relations = () if old is None else old.relations
+        check.update(r.target for r in old_relations if r.kind in _INVERSE)
+        broader_changed = broader_changed or (
+            {r.target for r in term.relations if r.kind == "broader"}
+            != {r.target for r in old_relations if r.kind == "broader"}
+        )
+    out: list[Violation] = []
+    for tid in check:
+        _check_term(domain, terms, tid, out)
+    if out or (broader_changed and _broader_sccs(terms)):
+        return OntologyPortion(domain, language, version, terms)
+    portion = object.__new__(OntologyPortion)  # checked above; skips __post_init__
+    for name, value in (
+        ("domain", domain), ("language", language), ("version", version), ("terms", terms),
+        ("label_index", _patched_index(base, changed)),  # the cached_property's slot
+    ):
+        object.__setattr__(portion, name, value)
+    return portion
 
 
 # --- cross-language alignment ---

@@ -11,6 +11,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from polyfind.descriptor import (
     FIELD_NAMES,
@@ -33,6 +34,10 @@ from polyfind.ontology import (
 )
 from polyfind.registry import DEFAULT_FIELD_WEIGHTS, empty_registry, publish
 from polyfind.textutil import normalize_text
+
+# Tier-1 runs hypothesis with its default settings; CI also runs the
+# ontology tests with `--hypothesis-profile=ci`.
+settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PORTION_FILES = [FIXTURES / "portions" / f"math.{lang}.json" for lang in ("ar", "en", "fr")]

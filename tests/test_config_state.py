@@ -21,6 +21,8 @@ from polyfind import langdetect, registry, textutil
 from polyfind import ontology as onto
 from polyfind import state as state_module
 from polyfind.ontology import (
+    AlignmentLink,
+    Term,
     TermId,
     TermRef,
     iter_links,
@@ -488,6 +490,76 @@ class TestAlignmentFiles:
         monkeypatch.setattr(state_module, "atomic_write_bytes", refusing)
         with pytest.raises(StartupError, match="cannot rewrite alignment file .*math.json"):
             load_snapshot(data)
+
+
+GEO_A = TermId("geo", "a")
+
+
+class TestSeveralAlignmentFiles:
+    """A put rewrites or unlinks only the alignment files whose links it
+    changed; a restart then loads the store the server holds."""
+
+    @staticmethod
+    def data_dir(tmp_path):
+        """The fixture data plus a geo.fr portion whose geo#a is linked to
+        math#square_root@en, in alignments/geo.json ("geo" < "math")."""
+        data = fixture_data_dir(tmp_path)
+        geo = onto.add_terms(
+            onto.create_portion("geo", "fr"), [Term(GEO_A, "a"), Term(TermId("geo", "b"), "b")]
+        )
+        (data / "portions" / "geo.fr.json").write_bytes(onto.save_portion(geo))
+        link = AlignmentLink(
+            TermRef(GEO_A, "fr"), TermRef(TermId("math", "square_root"), "en"), "close", 0.5
+        )
+        (data / "alignments" / "geo.json").write_bytes(onto.save_alignments([link]))
+        return data
+
+    @staticmethod
+    def put_without(state, monkeypatch, key, dropped):
+        """Put the held portion of `key` less the term `dropped`, loaded over
+        the held one as the server loads a put; returns the files written and
+        how often the full structural check ran."""
+        held = state.snapshot().ontology.portions[key]
+        doc = onto.portion_to_dict(held)
+        doc["terms"] = [t for t in doc["terms"] if t["id"] != str(dropped)]
+        for term in doc["terms"]:
+            term["relations"] = [r for r in term["relations"] if r["target"] != str(dropped)]
+        doc["version"] += 1
+        checks = []
+        validate = onto.validate_portion
+        with monkeypatch.context() as patched:
+            patched.setattr(onto, "validate_portion", lambda p: checks.append(1) or validate(p))
+            portion = load_portion(json.dumps(doc).encode(), base=held)
+        written = record_writes(monkeypatch)
+        state.put_portion(portion)
+        return written, len(checks)
+
+    def test_put_dropping_a_files_last_link_unlinks_it(self, tmp_path, monkeypatch):
+        data = self.data_dir(tmp_path)
+        math_file = (data / "alignments" / "math.json").read_bytes()
+        state = make_state(tmp_path)
+        assert len(iter_links(state.snapshot().ontology)) == 16
+        written, checks = self.put_without(state, monkeypatch, ("geo", "fr"), GEO_A)
+        assert checks == 1  # a dropped term takes the full check
+        assert written == ["geo.fr.json"]
+        assert not (data / "alignments" / "geo.json").exists()
+        assert (data / "alignments" / "math.json").read_bytes() == math_file
+        assert len(iter_links(state.snapshot().ontology)) == 15
+        assert load_snapshot(data).ontology == state.snapshot().ontology
+
+    def test_put_skips_the_unchanged_file_among_several(self, tmp_path, monkeypatch):
+        data = self.data_dir(tmp_path)
+        geo_file = (data / "alignments" / "geo.json").read_bytes()
+        state = make_state(tmp_path)
+        written, _ = self.put_without(state, monkeypatch, ("math", "en"), NEGATIVE)
+        assert written == ["math.en.json", "math.json"]
+        assert (data / "alignments" / "geo.json").read_bytes() == geo_file
+        links = iter_links(state.snapshot().ontology)
+        assert len(links) == 14
+        assert onto.load_alignments((data / "alignments" / "math.json").read_bytes()) == [
+            link for link in links if link.source.term.domain == "math"
+        ]
+        assert load_snapshot(data).ontology == state.snapshot().ontology
 
 
 def discover_counting_normalize(monkeypatch, state, query):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyfind import mapping, ontology
+from polyfind import langdetect, ontology, registry, textutil
 from polyfind.errors import EmptyQuery, UnknownTerm
 from polyfind.mapping import expand_terms, match_keywords, path_to_dict, translate
 from polyfind.ontology import (
@@ -90,16 +90,17 @@ class TestLookupCost:
     def normalize_calls(self, monkeypatch, portion):
         match_keywords(self.KEYWORDS, portion)  # builds the label index
         calls = [0]
-        original = ontology.normalize_text
+        original = textutil.normalize_text
 
         def counted(text):
             calls[0] += 1
             return original(text)
 
-        for module in (ontology, mapping):
-            monkeypatch.setattr(module, "normalize_text", counted, raising=False)
-        result = match_keywords(self.KEYWORDS, portion)
-        monkeypatch.undo()
+        # The source, and every module that imports the name.
+        with monkeypatch.context() as patched:
+            for module in (textutil, ontology, registry, langdetect):
+                patched.setattr(module, "normalize_text", counted)
+            result = match_keywords(self.KEYWORDS, portion)
         return calls[0], result
 
     def test_calls_do_not_grow_with_the_portion(self, monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,11 +14,14 @@ from polyfind.errors import (
     InvalidIdentifier,
     InvariantViolation,
     MalformedDocument,
+    PolyfindError,
     SameLanguage,
     SchemaViolation,
     UnknownTerm,
 )
+from polyfind import ontology
 from polyfind.ontology import (
+    RELATION_KINDS,
     AlignmentLink,
     OntologyPortion,
     Relation,
@@ -443,11 +448,16 @@ class TestPersistence:
 
     def test_relation_targets_are_the_term_keys(self):
         for portion in [small_portion(), *map(load_portion, map(Path.read_bytes, PORTION_FILES))]:
-            loaded = load_portion(save_portion(portion))
-            keys = {tid: tid for tid in loaded.terms}
-            targets = [rel.target for term in loaded.terms.values() for rel in term.relations]
-            assert targets
-            assert all(keys[target] is target for target in targets)
+            doc = json.loads(save_portion(portion))
+            doc["terms"][-1]["alt_labels"].append("edited")  # one term not reused
+            for loaded in (
+                load_portion(save_portion(portion)),
+                load_portion(json.dumps(doc).encode(), base=portion),
+            ):
+                keys = {tid: tid for tid in loaded.terms}
+                targets = [rel.target for term in loaded.terms.values() for rel in term.relations]
+                assert targets
+                assert all(keys[target] is target for target in targets)
 
 
 _label = st.text(
@@ -494,6 +504,185 @@ class TestProperties:
         after = add_label(portion, tid, label)
         assert validate_portion(after) == []
         assert after.version >= portion.version
+
+
+def load_outcome(load):
+    """What a load gives: the portion and its label index, or the error's
+    class, path and detail."""
+    try:
+        portion = load()
+    except PolyfindError as exc:
+        return type(exc).__name__, getattr(exc, "path", None), exc.detail
+    return portion, portion.label_index
+
+
+_EDITS = (
+    "relabel", "add-alt", "remove-alt", "add-term", "remove-term", "add-edge",
+    "remove-edge", "break-back-edge", "cycle", "empty-label", "duplicate-id",
+    "move-term", "version", "bad-field",
+)
+_EMPTY_LABELS = [" ", "\t", "\u0640", "\u064e"]
+_INVERSE_KIND = {"broader": "narrower", "narrower": "broader"}
+
+
+@st.composite
+def edited_bodies(draw):
+    """(base, body): a sound base and its canonical document after one to
+    three random edits, which may leave the document unsound."""
+    base = draw(portions() | labelled_portions())
+    doc = json.loads(save_portion(base))
+    terms = doc["terms"]
+    label = _label | _index_label
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "add-term" or not terms:
+            ids = [t["id"] for t in terms] + ["dom#gone"]
+            relations = [
+                {"kind": kind, "target": draw(st.sampled_from(ids))}
+                for kind in draw(st.lists(st.sampled_from(RELATION_KINDS), max_size=2))
+            ]
+            new = {
+                "id": draw(st.sampled_from(["dom#new", "dom#t3", "other#x"])),
+                "preferred_label": draw(label),
+                "alt_labels": draw(st.lists(label, max_size=2)),
+                "definition": draw(st.none() | label),
+                "relations": relations,
+            }
+            if draw(st.booleans()):  # give the edges their back-edges
+                for rel in relations:
+                    inverse = _INVERSE_KIND.get(rel["kind"])
+                    for t in terms:
+                        if inverse and t["id"] == rel["target"]:
+                            t["relations"].append({"kind": inverse, "target": new["id"]})
+            terms.insert(draw(st.integers(0, len(terms))), new)
+            continue
+        term = terms[draw(st.integers(0, len(terms) - 1))]
+        other = terms[draw(st.integers(0, len(terms) - 1))]
+        if edit == "relabel":
+            term["preferred_label"] = draw(label)
+        elif edit == "add-alt":
+            term["alt_labels"].append(draw(label | st.sampled_from(term["alt_labels"] or [""])))
+        elif edit == "remove-alt" and term["alt_labels"]:
+            term["alt_labels"].pop(draw(st.integers(0, len(term["alt_labels"]) - 1)))
+        elif edit == "remove-term":
+            terms.remove(term)
+        elif edit == "add-edge":
+            kind = draw(st.sampled_from(RELATION_KINDS))
+            target = draw(st.sampled_from([other["id"], "dom#gone"]))
+            term["relations"].append({"kind": kind, "target": target})
+            inverse = _INVERSE_KIND.get(kind)
+            if inverse and target == other["id"] and draw(st.booleans()):
+                other["relations"].append({"kind": inverse, "target": term["id"]})
+        elif edit in ("remove-edge", "break-back-edge") and term["relations"]:
+            rel = term["relations"].pop(draw(st.integers(0, len(term["relations"]) - 1)))
+            inverse = _INVERSE_KIND.get(rel["kind"])
+            back = {"kind": inverse, "target": term["id"]}
+            if edit == "remove-edge":
+                for t in terms:
+                    if t["id"] == rel["target"] and back in t["relations"]:
+                        t["relations"].remove(back)
+        elif edit == "cycle":
+            # term and other each broader than the other, back-edges included.
+            for a, b in ((term, other), (other, term)):
+                a["relations"].append({"kind": "broader", "target": b["id"]})
+                b["relations"].append({"kind": "narrower", "target": a["id"]})
+        elif edit == "empty-label":
+            if draw(st.booleans()):
+                term["preferred_label"] = draw(st.sampled_from(_EMPTY_LABELS))
+            else:
+                term["alt_labels"].append(draw(st.sampled_from(_EMPTY_LABELS)))
+        elif edit == "duplicate-id":
+            if draw(st.booleans()):
+                terms.append(json.loads(json.dumps(term)))
+            else:
+                other["id"] = term["id"]
+        elif edit == "move-term":
+            terms.remove(term)
+            terms.append(term)
+        elif edit == "version":
+            doc["version"] = draw(st.integers(0, 9))
+        elif edit == "bad-field":
+            term[draw(st.sampled_from(["definition", "extra"]))] = 3
+    return base, json.dumps(doc, ensure_ascii=False).encode()
+
+
+class TestLoadOverBase:
+    """load_portion(body, base=...) reuses the base's unchanged terms and
+    patches its label index; load_portion(body) is the definition."""
+
+    @given(edited_bodies())
+    def test_equals_a_full_load(self, case):
+        base, body = case
+        index = base.label_index  # built, as for every portion a server holds
+        fast = load_outcome(lambda: load_portion(body, base=base))
+        assert fast == load_outcome(lambda: load_portion(body))
+        assert base.label_index is index
+        assert index == replace(base).label_index  # the patch left the base alone
+        if isinstance(fast[0], OntologyPortion):
+            assert fast[1] is not index
+
+    @staticmethod
+    def edited(portion, edit):
+        doc = json.loads(save_portion(portion))
+        edit(doc)
+        return json.dumps(doc, ensure_ascii=False).encode()
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        calls = []
+        validate = ontology.validate_portion
+        monkeypatch.setattr(
+            ontology, "validate_portion", lambda portion: calls.append(1) or validate(portion)
+        )
+        return calls
+
+    def test_an_edit_reuses_the_other_terms_and_patches_the_index(self, monkeypatch):
+        base = load_portion(PORTION_FILES[1].read_bytes())
+        base.label_index
+        body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("Radix"))
+        calls = self.count_validations(monkeypatch)
+        portion = load_portion(body, base=base)
+        assert calls == []
+        changed = [tid for tid in portion.terms if portion.terms[tid] is not base.terms[tid]]
+        assert changed == [sorted(base.terms, key=str)[0]]
+        assert "label_index" in vars(portion)
+        assert lookup_label_kinds(portion, "radix") == [(changed[0], "alt")]
+        assert (portion, portion.label_index) == load_outcome(lambda: load_portion(body))
+
+    def test_a_dropped_term_takes_the_full_check(self, monkeypatch):
+        base = load_portion(PORTION_FILES[1].read_bytes())
+        body = self.edited(base, lambda doc: doc["terms"].pop())
+        calls = self.count_validations(monkeypatch)
+        detail = structural_error(lambda: load_portion(body, base=base))
+        assert calls == [1]
+        assert "dangling-relation" in detail or "missing-inverse" in detail
+
+    def test_a_violation_takes_the_full_check(self, monkeypatch):
+        base = small_portion()
+        body = self.edited(base, lambda doc: doc["terms"][0]["relations"].clear())
+        calls = self.count_validations(monkeypatch)
+        with pytest.raises(InvariantViolation) as fast:
+            load_portion(body, base=base)
+        assert calls == [1]
+        with pytest.raises(InvariantViolation) as full:
+            load_portion(body)
+        assert fast.value.detail == full.value.detail
+
+    def test_base_of_another_pair_is_ignored(self):
+        en = small_portion("en")
+        body = self.edited(en, lambda doc: doc.update(language="fr"))
+        assert load_portion(body, base=en) == replace(en, language="fr")
+
+    def test_keeps_no_reference_to_its_base(self):
+        base = load_portion(PORTION_FILES[1].read_bytes())
+        base.label_index
+        body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("radix"))
+        portion = load_portion(body, base=base)
+        gone = weakref.ref(base)
+        del base
+        gc.collect()
+        assert gone() is None
+        assert lookup_label_kinds(portion, "radix")
 
 
 class TestAlignments:

@@ -32,6 +32,12 @@ BODY_ROUTES = pytest.mark.parametrize("method, path", [
 
 def request(address, method, path, body=None, content_length=None):
     """One HTTP exchange; returns (status, decoded JSON or None)."""
+    status, raw = exchange(address, method, path, body, content_length)
+    return status, json.loads(raw.decode("utf-8")) if raw else None
+
+
+def exchange(address, method, path, body=None, content_length=None):
+    """One HTTP exchange; returns (status, body bytes)."""
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
@@ -44,9 +50,7 @@ def request(address, method, path, body=None, content_length=None):
         else:
             conn.request(method, path, body=body)
         response = conn.getresponse()
-        raw = response.read()
-        doc = json.loads(raw.decode("utf-8")) if raw else None
-        return response.status, doc
+        return response.status, response.read()
     finally:
         conn.close()
 
@@ -325,6 +329,48 @@ class TestPortions:
         assert doc["error"] == "InvariantViolation"
         assert doc["detail"].startswith("portion is structurally invalid: self-relation[math#a]")
         assert not (data_dir / "portions").exists()
+
+
+class TestPutThenRestart:
+    def test_restart_serves_the_same_portion_and_discovery(self, tmp_path):
+        """A put loaded over the held portion answers GET and discover with
+        the bytes a restart on the same data directory answers."""
+        data_dir = tmp_path / "data"
+        (data_dir / "portions").mkdir(parents=True)
+        for path in PORTION_FILES:
+            (data_dir / "portions" / path.name).write_bytes(path.read_bytes())
+        (data_dir / "alignments").mkdir()
+        (data_dir / "alignments" / ALIGNMENT_FILE.name).write_bytes(ALIGNMENT_FILE.read_bytes())
+        config = ServerConfig(host="127.0.0.1", port=0, data_dir=data_dir)
+        query = {"text": "radical sign", "domain": "math", "requester_id": "alice",
+                 "language": "en"}
+        answers = []
+        with serving(config) as address:
+            for path in DESCRIPTOR_FILES:
+                assert request(address, "POST", "/services", path.read_bytes())[0] == 201
+            status, doc = request(address, "GET", "/portions/math/en")
+            assert status == 200
+            for term in doc["terms"]:
+                if term["id"] == "math#square_root":
+                    term["alt_labels"].append("Radical  Sign")
+            doc["version"] += 1
+            assert request(address, "PUT", "/portions/math/en", doc) == (200, {
+                "domain": "math", "language": "en", "version": doc["version"],
+            })
+            answers.append((
+                exchange(address, "GET", "/portions/math/en"),
+                exchange(address, "POST", "/discover", query),
+            ))
+        with serving(config) as address:
+            answers.append((
+                exchange(address, "GET", "/portions/math/en"),
+                exchange(address, "POST", "/discover", query),
+            ))
+        (portion, discovered), after_restart = answers
+        assert (portion, discovered) == after_restart
+        assert json.loads(portion[1]) == doc
+        assert discovered[0] == 200
+        assert json.loads(discovered[1])["results"]
 
 
 class TestImportRoute:
