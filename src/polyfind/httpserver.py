@@ -19,7 +19,7 @@ from .descriptor import descriptor_to_dict
 from .discovery import Query, response_to_dict
 from .errors import MalformedDocument, PolyfindError, PortionNotFound, SchemaViolation
 from .importer import report_to_dict
-from .ontology import load_portion, portion_to_dict
+from .ontology import load_portion, save_portion
 from .registry import get as registry_get
 from .state import AppState
 from .textutil import DIGITS_RE, check_fields, load_json
@@ -75,7 +75,10 @@ class ApiHandler(BaseHTTPRequestHandler):
         log.debug("%s %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        self._send_body(status, json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+
+    def _send_body(self, status: int, body: bytes) -> None:
+        """Send a UTF-8 JSON body that is already encoded."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -159,7 +162,8 @@ class ApiHandler(BaseHTTPRequestHandler):
         portion = self.app.snapshot().ontology.portions.get((domain, language))
         if portion is None:
             raise PortionNotFound(f"no portion {domain}.{language}")
-        self._send_json(200, portion_to_dict(portion))
+        # The file's bytes without the newline: what _send_json would send.
+        self._send_body(200, save_portion(portion)[:-1])
 
     def handle_put_portion(self, domain: str, language: str):
         # The held portion only spares re-checking the terms the body repeats.

@@ -90,6 +90,13 @@ class Term:
     def labels(self) -> tuple[str, ...]:
         return (self.preferred_label, *self.alt_labels)
 
+    @cached_property
+    def canonical_json(self) -> bytes:
+        """The term as save_portion writes it, UTF-8; built on first use.
+        A portion loaded over a base keeps the base's Term objects, and so
+        their encodings, for every term it does not change."""
+        return json.dumps(_term_to_dict(self), ensure_ascii=False).encode()
+
 
 @dataclass(frozen=True)
 class OntologyPortion:
@@ -335,6 +342,8 @@ def _term_to_dict(term: Term) -> dict:
 
 
 def portion_to_dict(portion: OntologyPortion) -> dict:
+    """The portion as a JSON-ready dict: the definition that save_portion's
+    bytes, built from the terms' kept encodings, are tested against."""
     return {
         "domain": portion.domain,
         "language": portion.language,
@@ -344,9 +353,17 @@ def portion_to_dict(portion: OntologyPortion) -> dict:
 
 
 def save_portion(portion: OntologyPortion) -> bytes:
-    """Compact canonical serialization: terms sorted by id, stable key order.
-    Unindented, so json uses its C encoder; the loader reads any layout."""
-    return (json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n").encode()
+    """Compact canonical serialization: terms sorted by id, stable key order;
+    the loader reads any layout. The bytes are those of
+    json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n": the
+    compact encoder joins list members with ", ", so the terms' own
+    encodings are joined the same way and only terms without one are encoded."""
+    head = json.dumps(
+        {"domain": portion.domain, "language": portion.language, "version": portion.version},
+        ensure_ascii=False,
+    )
+    terms = b", ".join(portion.terms[tid].canonical_json for tid in sorted(portion.terms, key=str))
+    return b'%s, "terms": [%s]}\n' % (head[:-1].encode(), terms)
 
 
 # Document shapes; every key is required.
@@ -564,12 +581,20 @@ def resolves(store: OntologyStore, link: AlignmentLink) -> bool:
 
 def set_portion(store: OntologyStore, portion: OntologyPortion) -> OntologyStore:
     """Insert or replace a portion; links into it that no longer resolve are
-    pruned. When none is, the store's own alignment map and adjacency are kept."""
+    pruned. When none is, the store's own alignment map and adjacency are kept.
+    A link into the portion names a term the replaced portion holds, so when
+    the new one keeps every such term no link is scanned."""
     key = (portion.domain, portion.language)
-    dead = {
-        pair for pair in store.alignments
-        if any((ref.term.domain, ref.lang) == key and ref.term not in portion.terms for ref in pair)
-    }
+    old = store.portions.get(key)
+    dead = set()
+    if old is None or not old.terms.keys() <= portion.terms.keys():
+        dead = {
+            pair for pair in store.alignments
+            if any(
+                (ref.term.domain, ref.lang) == key and ref.term not in portion.terms
+                for ref in pair
+            )
+        }
     if dead:
         alignments = {pair: link for pair, link in store.alignments.items() if pair not in dead}
         return OntologyStore({**store.portions, key: portion}, alignments)

@@ -30,6 +30,11 @@ LANGUAGE_RE = re.compile(r"[a-z]{2,3}")
 # ASCII only: str.isdigit and \d also accept digits such as "²" or "٩".
 DIGITS_RE = re.compile(r"[0-9]+")
 
+# Only a \uD800-\uDFFF escape can put a surrogate in a decoded string: the
+# UTF-8 decoder refuses encoded ones, and json joins each escaped pair.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 # The kinds check_fields accepts, each an isinstance() argument, and their
 # names in errors.
 _KIND_NAMES = {
@@ -116,15 +121,37 @@ def check_language(tag: str) -> str:
 
 
 def load_json(data: bytes) -> object:
-    """Decode a UTF-8 JSON document; MalformedDocument when it is neither."""
+    """Decode a UTF-8 JSON document; MalformedDocument when it is neither, or
+    when a string in it holds a lone surrogate, which no UTF-8 text can."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(doc):
+        raise MalformedDocument("not valid JSON: a string holds a lone surrogate escape")
+    return doc
+
+
+def _holds_surrogate(doc: object) -> bool:
+    """Whether a key or string anywhere in a decoded document holds a
+    surrogate; iterative, since json.loads accepts deeper nesting than a
+    recursive walk could follow."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE_RE.search(value):
+                return True
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return False
 
 
 def check_fields(doc: object, path: str, required: Mapping, optional: Mapping) -> dict:

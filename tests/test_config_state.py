@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from polyfind import ontology as onto
 from polyfind import state as state_module
 from polyfind.ontology import (
     AlignmentLink,
+    OntologyStore,
     Term,
     TermId,
     TermRef,
@@ -617,3 +619,75 @@ class TestWriterBuildsIndexes:
         stored = (tmp_path / "data" / "portions" / "math.en.json").read_bytes()
         assert stored == onto.save_portion(portion)
         assert b"\n " not in stored
+
+
+class CountedLinks(Mapping):
+    """A store's alignment map that counts the walks over its links."""
+
+    def __init__(self, links):
+        self.links = dict(links)
+        self.walks = 0
+
+    def __getitem__(self, pair):
+        return self.links[pair]
+
+    def __len__(self):
+        return len(self.links)
+
+    def __iter__(self):
+        self.walks += 1
+        return iter(self.links)
+
+
+class TestPutCost:
+    """What a put pays, counted rather than timed: the terms it encodes and
+    whether set_portion walks the alignment links."""
+
+    @staticmethod
+    def one_edit(state):
+        """The held en portion with one alt label more, loaded over it as
+        the server loads a put."""
+        held = state.snapshot().ontology.portions[("math", "en")]
+        doc = onto.portion_to_dict(held)
+        doc["terms"][0]["alt_labels"].append("radix")
+        doc["version"] += 1
+        return load_portion(json.dumps(doc).encode(), base=held)
+
+    @staticmethod
+    def count_encodings(monkeypatch):
+        encoded = []
+        to_dict = onto._term_to_dict
+        monkeypatch.setattr(
+            onto, "_term_to_dict", lambda term: encoded.append(term.id) or to_dict(term)
+        )
+        return encoded
+
+    def test_a_one_edit_put_encodes_one_term(self, tmp_path, monkeypatch):
+        fixture_data_dir(tmp_path)
+        state = make_state(tmp_path)
+        first = self.one_edit(state)
+        encoded = self.count_encodings(monkeypatch)
+        state.put_portion(first)  # start-up encoded nothing, so every term
+        assert sorted(encoded, key=str) == sorted(first.terms, key=str)
+        monkeypatch.undo()
+        second = self.one_edit(state)
+        encoded = self.count_encodings(monkeypatch)
+        state.put_portion(second)
+        assert encoded == [sorted(second.terms, key=str)[0]]
+        monkeypatch.undo()
+        stored = (tmp_path / "data" / "portions" / "math.en.json").read_bytes()
+        reference = json.dumps(onto.portion_to_dict(second), ensure_ascii=False) + "\n"
+        assert stored == reference.encode()
+
+    def test_set_portion_walks_no_link_unless_a_term_is_dropped(self, tmp_path):
+        fixture_data_dir(tmp_path)
+        held = make_state(tmp_path).snapshot().ontology
+        links = CountedLinks(held.alignments)
+        store = OntologyStore(held.portions, links)
+        kept = onto.set_portion(store, en_portion())
+        assert links.walks == 0
+        assert kept.alignments is links
+        pruned = onto.set_portion(store, en_portion(drop_negative_number=True))
+        assert links.walks > 0
+        assert len(pruned.alignments) == 13
+        assert all(TermRef(NEGATIVE, "en") not in pair for pair in pruned.alignments)

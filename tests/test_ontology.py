@@ -39,6 +39,7 @@ from polyfind.ontology import (
     load_alignments,
     load_portion,
     lookup_label_kinds,
+    portion_to_dict,
     save_alignments,
     save_portion,
     set_portion,
@@ -504,6 +505,55 @@ class TestProperties:
         after = add_label(portion, tid, label)
         assert validate_portion(after) == []
         assert after.version >= portion.version
+
+
+# Text the encoder must escape or pass through: quotes, backslashes,
+# control characters, line separators, non-BMP and non-Latin characters.
+_hard_text = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001d538\U0001f600éجـ a')
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+_hard_label = _hard_text.filter(lambda s: normalize_text(s) != "")
+
+
+@st.composite
+def hard_text_portions(draw):
+    """A portion from portions() or labelled_portions() with labels and
+    definitions drawn from _hard_text, or None as a definition."""
+    portion = draw(portions() | labelled_portions())
+    terms = {
+        tid: replace(
+            term,
+            preferred_label=draw(st.just(term.preferred_label) | _hard_label),
+            alt_labels=term.alt_labels + tuple(draw(st.lists(_hard_label, max_size=2))),
+            definition=draw(st.just(term.definition) | st.none() | _hard_text),
+        )
+        for tid, term in portion.terms.items()
+    }
+    return replace(portion, terms=terms)
+
+
+def reference_encoding(portion):
+    """What save_portion writes, by its definition."""
+    return (json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n").encode()
+
+
+class TestSerializer:
+    @given(hard_text_portions(), st.data())
+    def test_save_equals_the_reference_encoding(self, portion, data):
+        body = save_portion(portion)
+        assert body == reference_encoding(portion)
+        # A load over the portion keeps its terms, now carrying encodings.
+        assert save_portion(load_portion(body, base=portion)) == body
+        doc = json.loads(body)
+        term = doc["terms"][data.draw(st.integers(0, len(doc["terms"]) - 1))]
+        term["alt_labels"].append(data.draw(_hard_label))
+        term["definition"] = data.draw(st.none() | _hard_text)
+        doc["version"] += 1
+        edited = load_portion(json.dumps(doc).encode(), base=portion)
+        assert save_portion(edited) == reference_encoding(edited)
+        assert json.loads(save_portion(edited)) == doc
 
 
 def load_outcome(load):

@@ -14,6 +14,8 @@ from polyfind.ontology import (
     TermId,
     add_terms,
     create_portion,
+    load_portion,
+    portion_to_dict,
     save_portion,
 )
 
@@ -331,17 +333,33 @@ class TestPortions:
         assert not (data_dir / "portions").exists()
 
 
+def fixture_config(tmp_path):
+    """A config whose data directory holds the fixture portions and links."""
+    data_dir = tmp_path / "data"
+    (data_dir / "portions").mkdir(parents=True)
+    for path in PORTION_FILES:
+        (data_dir / "portions" / path.name).write_bytes(path.read_bytes())
+    (data_dir / "alignments").mkdir()
+    (data_dir / "alignments" / ALIGNMENT_FILE.name).write_bytes(ALIGNMENT_FILE.read_bytes())
+    return ServerConfig(host="127.0.0.1", port=0, data_dir=data_dir)
+
+
+def data_files(config):
+    """Every file under the data directory with its bytes."""
+    root = config.data_dir
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def reference_body(portion):
+    """The GET /portions body as json encodes portion_to_dict."""
+    return json.dumps(portion_to_dict(portion), ensure_ascii=False).encode()
+
+
 class TestPutThenRestart:
     def test_restart_serves_the_same_portion_and_discovery(self, tmp_path):
         """A put loaded over the held portion answers GET and discover with
         the bytes a restart on the same data directory answers."""
-        data_dir = tmp_path / "data"
-        (data_dir / "portions").mkdir(parents=True)
-        for path in PORTION_FILES:
-            (data_dir / "portions" / path.name).write_bytes(path.read_bytes())
-        (data_dir / "alignments").mkdir()
-        (data_dir / "alignments" / ALIGNMENT_FILE.name).write_bytes(ALIGNMENT_FILE.read_bytes())
-        config = ServerConfig(host="127.0.0.1", port=0, data_dir=data_dir)
+        config = fixture_config(tmp_path)
         query = {"text": "radical sign", "domain": "math", "requester_id": "alice",
                  "language": "en"}
         answers = []
@@ -371,6 +389,69 @@ class TestPutThenRestart:
         assert json.loads(portion[1]) == doc
         assert discovered[0] == 200
         assert json.loads(discovered[1])["results"]
+
+    def test_get_bodies_are_the_reference_encoding(self, tmp_path):
+        """GET /portions sends the bytes json gives for portion_to_dict before
+        a put, after one (whose terms keep their encodings) and after a
+        restart, also for labels that need escaping."""
+        config = fixture_config(tmp_path)
+        held = {path.name.split(".")[1]: load_portion(path.read_bytes()) for path in PORTION_FILES}
+        with serving(config) as address:
+            for lang, portion in held.items():
+                assert exchange(address, "GET", f"/portions/math/{lang}") == (
+                    200, reference_body(portion))
+            doc = portion_to_dict(held["en"])
+            doc["terms"][1]["alt_labels"].append('say "√" \\ \t \u2028 \U0001d538 جذر')
+            doc["terms"][2]["definition"] = None
+            doc["version"] += 1
+            body = json.dumps(doc).encode()
+            assert request(address, "PUT", "/portions/math/en", body)[0] == 200
+            held["en"] = load_portion(body)
+            after_put = exchange(address, "GET", "/portions/math/en")
+            assert after_put == (200, reference_body(held["en"]))
+        with serving(config) as address:
+            for lang, portion in held.items():
+                assert exchange(address, "GET", f"/portions/math/{lang}") == (
+                    200, reference_body(portion))
+
+
+class TestLoneSurrogates:
+    """A JSON escape of a lone surrogate decodes to text that no UTF-8 file
+    can hold: the routes that would store it refuse the body with 400 and
+    leave the data directory as it was."""
+
+    def test_put_portion_refuses_a_lone_surrogate_label(self, tmp_path):
+        config = fixture_config(tmp_path)
+        with serving(config) as address:
+            status, doc = request(address, "GET", "/portions/math/en")
+            doc["version"] += 1
+            before = data_files(config)
+            for label in ("\ud800x", "x\udfff"):
+                doc["terms"][0]["alt_labels"].append(label)
+                status, answer = request(address, "PUT", "/portions/math/en", doc)
+                assert status == 400
+                assert answer["error"] == "MalformedDocument"
+                assert "lone surrogate" in answer["detail"]
+                assert data_files(config) == before
+                doc["terms"][0]["alt_labels"].pop()
+            # A non-BMP character, escaped as a surrogate pair, still loads.
+            doc["terms"][0]["alt_labels"].append("\U0001f600x")
+            assert b"\\ud83d\\ude00x" in json.dumps(doc).encode()
+            assert request(address, "PUT", "/portions/math/en", doc)[0] == 200
+            assert request(address, "GET", "/portions/math/en") == (200, doc)
+
+    def test_bind_refuses_a_lone_surrogate_requester(self, tmp_path):
+        config = fixture_config(tmp_path)
+        with serving(config) as address:
+            assert request(address, "POST", "/services", DESCRIPTOR_FILES[1].read_bytes())[0] == 201
+            before = data_files(config)
+            status, answer = request(address, "POST", "/bind", {
+                "service_id": "s-000001", "requester_id": "\ud800",
+            })
+            assert status == 400
+            assert answer["error"] == "SchemaViolation"
+            assert "lone surrogate" in answer["detail"]
+            assert data_files(config) == before
 
 
 class TestImportRoute:

@@ -4,11 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyfind import textutil
 from polyfind.descriptor import parse_descriptor
-from polyfind.errors import InvalidIdentifier, InvalidLanguageTag, PolyfindError
+from polyfind.errors import (
+    InvalidIdentifier,
+    InvalidLanguageTag,
+    MalformedDocument,
+    PolyfindError,
+)
 from polyfind.langdetect import profile_from_json
 from polyfind.ontology import load_alignments, load_portion
-from polyfind.textutil import check_identifier, check_language, normalize_text, split_words
+from polyfind.textutil import (
+    check_identifier,
+    check_language,
+    load_json,
+    normalize_text,
+    split_words,
+)
 
 
 class TestNormalizeText:
@@ -94,6 +106,34 @@ class TestCheckers:
     def test_language_bad(self, bad):
         with pytest.raises(InvalidLanguageTag):
             check_language(bad)
+
+
+class TestLoadJson:
+    @given(st.text())
+    def test_escaped_text_loads_back(self, text):
+        # ensure_ascii escapes a non-BMP character as a surrogate pair.
+        doc = [text, {text: text}]
+        assert load_json(json.dumps(doc).encode()) == doc
+        assert load_json(json.dumps(doc, ensure_ascii=False).encode()) == doc
+
+    @given(st.text(), st.integers(0xD800, 0xDFFF), st.text(), st.booleans())
+    def test_a_lone_surrogate_escape_is_refused(self, before, code, after, as_key):
+        text = before + chr(code) + after
+        doc = {"k": [1, {text: None} if as_key else text]}
+        with pytest.raises(MalformedDocument, match="lone surrogate"):
+            load_json(json.dumps(doc).encode())
+
+    def test_only_a_surrogate_escape_starts_the_walk(self, monkeypatch):
+        walks = []
+        walk = textutil._holds_surrogate
+        monkeypatch.setattr(textutil, "_holds_surrogate", lambda doc: walks.append(1) or walk(doc))
+        assert load_json(b'["\\u00e9", "\\ucafe", "\xf0\x9f\x98\x80"]') == [
+            "é", "\ucafe", "\U0001f600"]
+        assert walks == []
+        # An escaped backslash before "ud800" and a paired escape: a walk
+        # that finds no lone surrogate.
+        assert load_json(b'["\\\\ud800", "\\ud83d\\ude00"]') == ["\\ud800", "\U0001f600"]
+        assert walks == [1]
 
 
 def _descriptor(xml_lang="en", category_lang="en") -> bytes:
