@@ -357,16 +357,26 @@ def serialize_descriptor(descriptor: ServiceDescriptor) -> bytes:
     return data
 
 
+def field_texts(descriptor: ServiceDescriptor) -> list[tuple[str, str]]:
+    """The (field, text) pairs a descriptor is indexed by: service name,
+    operation names, then all documentation text (service first, then each
+    operation's)."""
+    d = descriptor
+    return [
+        ("name", d.name),
+        *(("operation", op.name) for op in d.operations),
+        ("documentation", d.documentation),
+        *(("documentation", op.documentation) for op in d.operations),
+    ]
+
+
 def tokenize(descriptor: ServiceDescriptor) -> list[FieldToken]:
-    """Index tokens with their field: service name, operation names, then all
-    documentation text (service first, then each operation's)."""
-    tokens = [FieldToken(t, "name") for t in split_words(descriptor.name)]
-    for op in descriptor.operations:
-        tokens.extend(FieldToken(t, "operation") for t in split_words(op.name))
-    tokens.extend(FieldToken(t, "documentation") for t in split_words(descriptor.documentation))
-    for op in descriptor.operations:
-        tokens.extend(FieldToken(t, "documentation") for t in split_words(op.documentation))
-    return tokens
+    """Index tokens with their field, in field_texts order."""
+    return [
+        FieldToken(token, field_name)
+        for field_name, text in field_texts(descriptor)
+        for token in split_words(text)
+    ]
 
 
 def descriptor_to_dict(descriptor: ServiceDescriptor) -> dict:

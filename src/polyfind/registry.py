@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Iterable, Mapping
 
-from .descriptor import FIELD_NAMES, ServiceDescriptor, tokenize
+from .descriptor import FIELD_NAMES, ServiceDescriptor, field_texts
 from .errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
-from .textutil import normalize_text
+from .textutil import normalize_text, split_words
 
 DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
@@ -61,9 +61,10 @@ def empty_registry() -> RegistryStore:
 
 def _field_counts(descriptor: ServiceDescriptor) -> dict[str, dict[str, int]]:
     counts: dict[str, dict[str, int]] = {}
-    for ft in tokenize(descriptor):
-        per_field = counts.setdefault(ft.token, {})
-        per_field[ft.field] = per_field.get(ft.field, 0) + 1
+    for field_name, text in field_texts(descriptor):
+        for token in split_words(text):
+            per_field = counts.setdefault(token, {})
+            per_field[field_name] = per_field.get(field_name, 0) + 1
     return counts
 
 

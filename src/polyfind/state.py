@@ -92,7 +92,7 @@ def _read_dir(directory: Path, name_re: re.Pattern, what: str, parse):
     fails startup by name."""
     if not directory.is_dir():
         return
-    for path in sorted(directory.iterdir()):
+    for path in sorted(directory.iterdir(), key=lambda path: path.name):
         if path.suffix == ".tmp" or not path.is_file():
             continue
         m = name_re.match(path.name)

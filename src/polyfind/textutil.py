@@ -76,6 +76,26 @@ def _camel_parts(word: str) -> list[str]:
     return parts
 
 
+class _Separators(dict):
+    """The str.translate table of split_words: a space for each whitespace,
+    P* or S* code point, the code point itself for any other.
+
+    Entries are made on first use, and only below U+10000, so the table
+    never holds more than 65,536; an astral code point is decided again on
+    each call.
+    """
+
+    def __missing__(self, cp: int) -> int | str:
+        ch = chr(cp)
+        out = " " if ch.isspace() or unicodedata.category(ch)[0] in "PS" else cp
+        if cp < 0x10000:
+            self[cp] = out
+        return out
+
+
+_SEPARATORS = _Separators()
+
+
 def split_words(text: str) -> list[str]:
     """Split text into normalized word tokens.
 
@@ -84,21 +104,15 @@ def split_words(text: str) -> list[str]:
     camelCase transitions. Digits stay attached to their word. Pieces that
     normalize to nothing are dropped.
     """
-    text = unicodedata.normalize("NFC", text)
-    pieces: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        if ch.isspace() or unicodedata.category(ch)[0] in "PS":
-            if current:
-                pieces.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        pieces.append("".join(current))
-
     tokens: list[str] = []
-    for piece in pieces:
+    # The table turns every separator into a space, and str.split() breaks
+    # at runs of them.
+    for piece in unicodedata.normalize("NFC", text).translate(_SEPARATORS).split():
+        # An ASCII piece with no uppercase letter has no camelCase boundary
+        # and is its own normalized form.
+        if piece.isascii() and piece.lower() == piece:
+            tokens.append(piece)
+            continue
         for part in _camel_parts(piece):
             norm = normalize_text(part)
             if norm:
@@ -121,7 +135,8 @@ def check_language(tag: str) -> str:
 
 
 def load_json(data: bytes) -> object:
-    """Decode a UTF-8 JSON document; MalformedDocument when it is neither, or
+    """Decode a UTF-8 JSON document; MalformedDocument when it is neither,
+    when it is nested deeper than the decoder's recursion can follow, or
     when a string in it holds a lone surrogate, which no UTF-8 text can."""
     try:
         text = data.decode("utf-8")
@@ -131,6 +146,8 @@ def load_json(data: bytes) -> object:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocument("not valid JSON: nested too deeply") from None
     if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(doc):
         raise MalformedDocument("not valid JSON: a string holds a lone surrogate escape")
     return doc

@@ -36,7 +36,7 @@ from polyfind.registry import DEFAULT_FIELD_WEIGHTS, empty_registry, publish
 from polyfind.textutil import normalize_text
 
 # Tier-1 runs hypothesis with its default settings; CI also runs the
-# ontology and text tests with `--hypothesis-profile=ci`.
+# ontology, text, descriptor and registry tests with `--hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -232,6 +232,8 @@ class TestLoadSnapshot:
         ("services/s-٠٠٠٠٠٩.xml", "hi", "unexpected file"),
         ("alignments/math.json", "{", "corrupt alignment"),
         ("alignments/readme.txt", "hi", "unexpected file"),
+        pytest.param("alignments/math.json", "[" * 100_000 + "]" * 100_000,
+                     "corrupt alignment .*nested too deeply", id="alignment-nested-too-deeply"),
         pytest.param("portions/math.de.json", json.dumps({
             "domain": "math", "language": "de", "version": 1, "terms": [{
                 "id": "math#a", "preferred_label": "a", "alt_labels": [], "definition": None,

@@ -454,6 +454,24 @@ class TestLoneSurrogates:
             assert data_files(config) == before
 
 
+class TestDeepNesting:
+    """A body nested deeper than the interpreter's recursion limit is not
+    valid JSON: each JSON route answers 400, and the server answers the
+    next request."""
+
+    BODY = b"[" * 100_000 + b"]" * 100_000
+
+    @pytest.mark.parametrize("method, path, error", [
+        ("POST", "/bind", "SchemaViolation"),
+        ("PUT", "/portions/math/en", "MalformedDocument"),
+    ], ids=["bind", "put_portion"])
+    def test_answers_400(self, api, method, path, error):
+        status, doc = request(api, method, path, self.BODY)
+        assert (status, doc["error"]) == (400, error)
+        assert "nested too deeply" in doc["detail"]
+        assert request(api, "GET", "/health")[0] == 200
+
+
 class TestImportRoute:
     @pytest.fixture()
     def import_api(self, tmp_path, repo_server):

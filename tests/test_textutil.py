@@ -1,7 +1,9 @@
 import json
+import string
+import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyfind import textutil
@@ -86,6 +88,83 @@ class TestSplitWords:
             assert token
             assert " " not in token
             assert normalize_text(token) == token
+
+
+def reference_split_words(text: str) -> list[str]:
+    """split_words as it was first written, testing each character in
+    Python: the oracle for the table-driven one."""
+    text = unicodedata.normalize("NFC", text)
+    pieces: list[str] = []
+    current: list[str] = []
+    for ch in text:
+        if ch.isspace() or unicodedata.category(ch)[0] in "PS":
+            if current:
+                pieces.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if current:
+        pieces.append("".join(current))
+    tokens: list[str] = []
+    for piece in pieces:
+        for part in textutil._camel_parts(piece):
+            norm = normalize_text(part)
+            if norm:
+                tokens.append(norm)
+    return tokens
+
+
+# Characters where the table, the ASCII path or the camelCase split could
+# part from the reference: both ASCII cases, digits and separators; accented
+# Latin-1 letters and combining marks (NFC); Arabic with tashkeel and
+# tatweel; whitespace that is not ASCII space; a title-case letter, letters
+# whose case mapping changes length and an astral capital; an astral symbol
+# and a zero-width joiner; and any code point, surrogates included.
+MIXED_TEXT = st.text(st.one_of(
+    st.sampled_from(string.ascii_letters + string.digits + "_-"),
+    st.sampled_from("àáâãäåçèéêëìíîïñòóôõöøùúûüýÿÀÉÑÖ\u0300\u0301\u0308\u0327"),
+    st.sampled_from("جذرتربيع\u064b\u064e\u0650\u0651\u0652\u0640"),
+    st.sampled_from(" \x1c\x1d\x1e\x1f\u3000\u2028"),
+    st.sampled_from("ǅİẞ\U0001d400"),
+    st.sampled_from("\U0001f600\u200d"),
+    st.integers(0, 0x10FFFF).map(chr),
+))
+
+
+class TestSplitWordsMatchesReference:
+    @given(MIXED_TEXT)
+    @example("getURLForID2")
+    @example("a\x00B")
+    @example("ǅemal İstanbul STRAẞE")
+    @example("رَقْـم_Root Ab\u0301c")
+    @example("x\u200dy\U0001f600z \U0001d400\U0001d401x")
+    @example("\ud800Ab")
+    def test_equals_the_reference(self, text):
+        assert split_words(text) == reference_split_words(text)
+
+
+class TestSeparatorTable:
+    def test_astral_text_adds_no_entry(self):
+        before = len(textutil._SEPARATORS)
+        # NFC maps some astral code points, such as CJK compatibility
+        # ideographs, into the BMP; leave those out.
+        astral = "".join(
+            ch for ch in map(chr, range(0x10000, 0x110000, 97))
+            if unicodedata.is_normalized("NFC", ch)
+        )
+        assert min(unicodedata.normalize("NFC", astral)) >= "\U00010000"
+        assert split_words(astral) == reference_split_words(astral)
+        assert len(textutil._SEPARATORS) == before
+
+    def test_every_code_point_stays_within_the_bound(self):
+        table = textutil._Separators()
+        every = "".join(map(chr, range(0x110000)))
+        expected = "".join(
+            " " if ch.isspace() or unicodedata.category(ch)[0] in "PS" else ch for ch in every
+        )
+        for _ in range(2):
+            assert every.translate(table) == expected
+            assert len(table) == 0x10000
 
 
 class TestCheckers:
