@@ -1,9 +1,11 @@
 """HTTP JSON API over AppState.
 
-Multi-threaded request handling; every handler reads one immutable
-snapshot, so responses are internally consistent without read locks.
-Bodies are UTF-8 JSON except POST /services, which takes the raw XML
-descriptor document.
+Each connection is served on a worker thread that accepted it itself
+(Leader/Followers): parked workers take turns waiting in accept(), so a
+request on a new connection wakes a thread instead of starting one. Every
+handler reads one immutable snapshot, so responses are internally
+consistent without read locks. Bodies are UTF-8 JSON except POST
+/services, which takes the raw XML descriptor document.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+import socket
+import threading
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .config import ServerConfig
 from .descriptor import descriptor_to_dict
@@ -92,14 +96,20 @@ class ApiHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
         try:
-            for route_method, pattern, name in self.ROUTES:
-                match = pattern.match(path)
-                if match and route_method == method:
-                    getattr(self, name)(*match.groups())
-                    return
-            self._send_json(404, {"error": "NotFound", "detail": f"no route {method} {path}"})
-        except PolyfindError as exc:
-            self._send_json(exc.http_status, {"error": type(exc).__name__, "detail": str(exc)})
+            try:
+                for route_method, pattern, name in self.ROUTES:
+                    match = pattern.match(path)
+                    if match and route_method == method:
+                        getattr(self, name)(*match.groups())
+                        return
+                self._send_json(404, {"error": "NotFound", "detail": f"no route {method} {path}"})
+            except PolyfindError as exc:
+                self._send_json(exc.http_status, {"error": type(exc).__name__, "detail": str(exc)})
+        except ConnectionError:
+            # Only the client's socket raises it here: the importer wraps
+            # remote-repository socket errors in RepoUnreachable.
+            log.debug("client %s left during %s %s", self.address_string(), method, path)
+            self.close_connection = True
         except Exception:  # pragma: no cover - defensive
             log.exception("unhandled error on %s %s", method, path)
             self._send_json(500, {"error": "InternalError", "detail": "unhandled server error"})
@@ -186,8 +196,20 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send_json(200, report_to_dict(report))
 
 
-class ApiServer(ThreadingHTTPServer):
-    daemon_threads = True
+class ApiServer(HTTPServer):
+    """Serves each connection on the worker thread that accepted it.
+
+    Parked workers take turns blocking in accept() on the listening socket;
+    the one that gets a connection serves it in place, so a connection
+    wakes a thread and starts none. A worker that takes a connection while
+    no other worker waits in accept() first starts one more, so a kept-alive
+    or stalled connection never blocks a new client and concurrency is as
+    unbounded as one thread per connection. A worker that finishes while
+    two or more others wait exits, so steady one-at-a-time traffic runs on
+    two parked threads and the extra workers of a burst go away afterwards.
+    Workers are daemon threads named polyfind-worker-<port>.
+    """
+
     allow_reuse_address = True
     # The socketserver default backlog of 5 drops connections under
     # concurrent load; size it for bursts of parallel clients.
@@ -196,6 +218,72 @@ class ApiServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], app: AppState):
         super().__init__(address, ApiHandler)
         self.app = app
+        self._lock = threading.Lock()
+        self._waiting = 0  # workers in accept(); guarded by _lock
+        self._stopping = threading.Event()
+        self._stopped = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Start the first worker and block until shutdown().
+
+        poll_interval is accepted for socketserver's signature and ignored:
+        shutdown wakes the workers instead of having them poll.
+        """
+        try:
+            self._start_worker()
+            self._stopping.wait()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop serving; returns once serve_forever() has returned."""
+        self._stop_accepting()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self._stop_accepting()
+        super().server_close()
+
+    def _stop_accepting(self) -> None:
+        self._stopping.set()
+        try:
+            # Wakes every worker blocked in accept(); close() alone does not.
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut down, or a platform that refuses it
+            pass
+
+    def _start_worker(self) -> None:
+        threading.Thread(
+            target=self._work, name=f"polyfind-worker-{self.server_port}", daemon=True
+        ).start()
+
+    def _work(self) -> None:
+        with self._lock:
+            self._waiting += 1
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if self._stopping.is_set():
+                    return
+                continue  # e.g. a client that reset before accept() returned
+            with self._lock:
+                self._waiting -= 1
+                alone = self._waiting == 0
+            # A worker that cannot be started fails this connection, as a
+            # thread per connection did; this worker keeps accepting.
+            try:
+                if alone:
+                    self._start_worker()
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._lock:
+                if self._waiting >= 2:
+                    return
+                self._waiting += 1
 
 
 def make_server(config: ServerConfig) -> ApiServer:

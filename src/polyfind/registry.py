@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .descriptor import FIELD_NAMES, ServiceDescriptor, field_texts
 from .errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
-from .textutil import normalize_text, split_words
+from .textutil import DIGITS_RE, normalize_text, split_words
 
 DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
@@ -135,7 +135,7 @@ def registry_from_descriptors(
             postings.setdefault(token, {})[d.service_id] = per_field
         langs[d.language] = langs.get(d.language, 0) + 1
         tail = d.service_id.rsplit("-", 1)[-1]
-        if tail.isdigit():
+        if DIGITS_RE.fullmatch(tail):
             last_seq = max(last_seq, int(tail))
     return RegistryStore(descriptors, postings, langs, last_seq)
 

@@ -210,6 +210,13 @@ class TestRebuild:
         after, new_sid = publish(rebuilt, simple(name="C"))
         assert new_sid == "s-000003"
 
+    @pytest.mark.parametrize("service_id, last_seq", [
+        ("s-²", 1), ("s-٣", 1), ("s-000042", 42),
+    ], ids=["superscript", "arabic-indic", "ascii"])
+    def test_only_ascii_digit_tails_raise_seq(self, service_id, last_seq):
+        published = replace(simple(), service_id=service_id)
+        assert registry_from_descriptors([published], last_seq=1).last_seq == last_seq
+
     def test_unpublished_descriptor_rejected(self):
         with pytest.raises(InvariantViolation):
             registry_from_descriptors([simple()])

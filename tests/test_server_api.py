@@ -1,12 +1,15 @@
+import errno
 import http.client
 import json
+import logging
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
 from polyfind.config import ServerConfig
-from polyfind.httpserver import ApiServer, make_server
+from polyfind.httpserver import ApiHandler, make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.ontology import (
     Relation,
@@ -535,3 +538,159 @@ class TestImportRoute:
             })
         assert (status, doc["error"]) == (400, error)
         assert paths == []
+
+
+# --- the serving model: parked workers that accept connections themselves ---
+
+
+@pytest.fixture()
+def server(tmp_path):
+    """A fresh server on the fixture data, served from a background thread."""
+    server = make_server(fixture_config(tmp_path))
+    thread = run_in_thread(server)
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def workers(server):
+    """The live worker threads of `server`."""
+    name = f"polyfind-worker-{server.server_port}"
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def wait_until(predicate, timeout=10.0):
+    """Poll `predicate` until it holds; fail once `timeout` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "the server did not reach the expected state"
+        time.sleep(0.001)
+
+
+def parked(server, count=2):
+    """Wait until `count` workers wait in accept()."""
+    wait_until(lambda: server._waiting == count)
+
+
+def held_connection_blocks_no_one(address):
+    """Hold a kept-alive connection idle while another client is answered."""
+    held = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        held.request("GET", "/health")
+        response = held.getresponse()
+        response.read()
+        assert response.status == 200
+        assert request(address, "GET", "/health")[0] == 200
+        held.request("GET", "/health")
+        assert held.getresponse().status == 200
+    finally:
+        held.close()
+
+
+def steady_thread_starts(server, monkeypatch, n=50):
+    """The names of the threads started while `server` answers n sequential
+    requests, each on a new connection and each sent once the worker that
+    served the one before has parked again."""
+    address = server.server_address[:2]
+    assert request(address, "GET", "/health")[0] == 200  # starts the second worker
+    parked(server)
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(n):
+            assert request(address, "GET", "/health")[0] == 200
+            parked(server)
+    return started
+
+
+class TestServingModel:
+    """No test here depends on timing: each waits for the server's own state
+    under a deadline, and none opens more than eight connections at once."""
+
+    def test_steady_sequential_traffic_starts_no_thread(self, server, monkeypatch):
+        assert steady_thread_starts(server, monkeypatch) == []
+        assert len(workers(server)) <= 2
+
+    def test_an_idle_kept_alive_connection_blocks_no_new_client(self, server):
+        held_connection_blocks_no_one(server.server_address[:2])
+
+    def test_eight_held_connections_grow_the_pool_and_it_shrinks_after(self, server):
+        address = server.server_address[:2]
+        held = [http.client.HTTPConnection(*address, timeout=10) for _ in range(8)]
+        try:
+            for conn in held:
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            # Each connection took the only parked worker, which started one more.
+            assert len(workers(server)) == 9
+        finally:
+            for conn in held:
+                conn.close()
+        wait_until(lambda: len(workers(server)) <= 2)
+        assert request(address, "GET", "/health")[0] == 200
+
+    def test_no_worker_survives_shutdown_and_close(self, tmp_path):
+        server = make_server(fixture_config(tmp_path))
+        thread = run_in_thread(server)
+        assert request(server.server_address[:2], "GET", "/health")[0] == 200
+        parked(server)
+        pool = workers(server)
+        assert len(pool) == 2
+        server.shutdown()
+        server.server_close()
+        for worker in [thread, *pool]:
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+
+    def test_an_aborted_accept_leaves_a_worker_accepting(self, server, monkeypatch):
+        real_get_request = server.get_request
+        faults = []
+
+        def flaky_get_request():
+            try:
+                fault = faults.pop()
+            except IndexError:
+                return real_get_request()
+            raise fault
+
+        monkeypatch.setattr(server, "get_request", flaky_get_request)
+        address = server.server_address[:2]
+        assert request(address, "GET", "/health")[0] == 200
+        parked(server)
+        faults.append(ConnectionAbortedError(errno.ECONNABORTED, "connection aborted"))
+        # The worker that serves this request meets the fault when it next accepts.
+        assert request(address, "GET", "/health")[0] == 200
+        wait_until(lambda: not faults)
+        held_connection_blocks_no_one(address)
+        assert steady_thread_starts(server, monkeypatch) == []
+
+
+class TestClientLeaves:
+    def test_a_broken_pipe_is_no_server_error(self, server, monkeypatch, caplog, capsys):
+        real_send_body = ApiHandler._send_body
+        faults = [BrokenPipeError(errno.EPIPE, "broken pipe")]
+
+        def failing_send_body(handler, status, body):
+            if faults:
+                raise faults.pop()
+            real_send_body(handler, status, body)
+
+        monkeypatch.setattr(ApiHandler, "_send_body", failing_send_body)
+        caplog.set_level(logging.DEBUG, logger="polyfind.httpserver")
+        address = server.server_address[:2]
+        with pytest.raises(http.client.RemoteDisconnected):  # closed, nothing sent
+            request(address, "GET", "/health")
+        assert request(address, "GET", "/health")[0] == 200
+        messages = [record.getMessage() for record in caplog.records]
+        assert not [m for m in messages if "unhandled error" in m]
+        assert [m for m in messages if m.endswith("left during GET /health")]
+        assert "Exception occurred" not in capsys.readouterr().err
