@@ -167,13 +167,13 @@ def _parse_relation(text: str) -> onto.Relation:
     kind, sep, target = text.partition(":")
     if not sep or kind not in onto.RELATION_KINDS:
         raise CliError(f"relation {text!r} must look like kind:domain#local")
-    return onto.Relation(kind, onto.TermId.parse(target))
+    return onto.Relation(kind, onto.TermId(target))
 
 
 def cmd_onto_add_term(args) -> int:
     portion = _load_portion_file(args.file)
     term = onto.Term(
-        id=onto.TermId.parse(args.id),
+        id=onto.TermId(args.id),
         preferred_label=args.label,
         alt_labels=tuple(args.alt or ()),
         definition=args.definition,
@@ -186,7 +186,7 @@ def cmd_onto_add_term(args) -> int:
 
 def cmd_onto_add_label(args) -> int:
     portion = _load_portion_file(args.file)
-    updated = onto.add_label(portion, onto.TermId.parse(args.id), args.label)
+    updated = onto.add_label(portion, onto.TermId(args.id), args.label)
     if updated is portion:
         print(f"{args.id} already carries that label")
         return 0
@@ -199,7 +199,7 @@ def _parse_ref(text: str) -> onto.TermRef:
     term, sep, lang = text.partition("@")
     if not sep:
         raise CliError(f"term reference {text!r} must look like domain#local@lang")
-    return onto.TermRef(onto.TermId.parse(term), check_language(lang))
+    return onto.TermRef(onto.TermId(term), check_language(lang))
 
 
 def cmd_onto_align(args) -> int:
@@ -225,7 +225,7 @@ def cmd_onto_validate(args) -> int:
 def cmd_onto_show(args) -> int:
     portion = _load_portion_file(args.file)
     print(f"{portion.domain}.{portion.language} v{portion.version}, {len(portion.terms)} terms")
-    for tid in sorted(portion.terms, key=str):
+    for tid in sorted(portion.terms):
         term = portion.terms[tid]
         alts = f" ({', '.join(term.alt_labels)})" if term.alt_labels else ""
         print(f"  {tid}: {term.preferred_label}{alts}")

@@ -279,7 +279,7 @@ def parse_descriptor(document: bytes | str) -> ServiceDescriptor:
         cattrs = _take_attrs(child, ("term", "lang"))
         _require_leaf(child)
         try:
-            term = TermId.parse(cattrs["term"])
+            term = TermId(cattrs["term"])
         except InvalidIdentifier as exc:
             _fail(str(exc), child.pos)
         lang = _check_lang_attr(child, "lang", cattrs["lang"])
@@ -336,7 +336,7 @@ def serialize_descriptor(descriptor: ServiceDescriptor) -> bytes:
         f"  <documentation>{_esc_text(d.documentation)}</documentation>",
     ]
     for term, lang in d.category_terms:
-        lines.append(f'  <category term="{_esc_attr(str(term))}" lang="{_esc_attr(lang)}"/>')
+        lines.append(f'  <category term="{_esc_attr(term)}" lang="{_esc_attr(lang)}"/>')
     for op in d.operations:
         lines.append(f'  <operation name="{_esc_attr(op.name)}">')
         lines.append(f"    <documentation>{_esc_text(op.documentation)}</documentation>")
@@ -388,7 +388,7 @@ def descriptor_to_dict(descriptor: ServiceDescriptor) -> dict:
         "provider": d.provider,
         "endpoint": d.endpoint,
         "documentation": d.documentation,
-        "categories": [{"term": str(term), "lang": lang} for term, lang in d.category_terms],
+        "categories": [{"term": term, "lang": lang} for term, lang in d.category_terms],
         "operations": [
             {
                 "name": op.name,

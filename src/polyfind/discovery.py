@@ -14,14 +14,13 @@ from .errors import (
     EmptyQuery,
     DetectionFailed,
     NoProfiles,
-    NotInResponse,
     PortionUnavailable,
 )
 from .importer import ImportReport, report_to_dict
 from .langdetect import DetectionResult, TrigramProfile, detect
 from .mapping import TranslationPath, expand_terms, match_keywords, path_to_dict, translate
 from .ontology import OntologyStore, TermId, TermRef, resolve
-from .registry import BindingTicket, RegistryStore
+from .registry import RegistryStore
 from .textutil import check_identifier, split_words
 
 # Optional hook used when the portion for the detected language is absent:
@@ -64,7 +63,7 @@ class DiscoveryResponse:
 
 @dataclass(frozen=True)
 class _TokenSource:
-    origin: str  # keyword text, or str(TermId)
+    origin: str  # keyword text, or the term id
     term: TermId | None
     path: TranslationPath | None
     confidence: float
@@ -93,7 +92,7 @@ def _token_sources(
                 continue
             for label in resolved.labels():
                 for token in split_words(label):
-                    add(token, _TokenSource(str(term), term, None, 1.0))
+                    add(token, _TokenSource(term, term, None, 1.0))
         else:
             for path in translate(ref, target_lang, store):
                 target = resolve(store, path.target)
@@ -101,7 +100,7 @@ def _token_sources(
                     continue
                 for label in target.labels():
                     for token in split_words(label):
-                        add(token, _TokenSource(str(term), term, path, path.confidence))
+                        add(token, _TokenSource(term, term, path, path.confidence))
     return sources
 
 
@@ -204,22 +203,6 @@ def discover(
             raw_keywords, widened, language, portion.terms, ontology, registry_store, weights
         )
     return DiscoveryResponse(detected, tuple(results), used_expansion, imports)
-
-
-def select_and_bind(
-    response: DiscoveryResponse,
-    service_id: str,
-    requester_id: str,
-    registry_store: RegistryStore,
-) -> BindingTicket:
-    """Bind one of the services named in a previous response.
-
-    Library API: POST /bind takes any service id, so the server does not
-    call this.
-    """
-    if service_id not in {entry.service_id for entry in response.results}:
-        raise NotInResponse(f"service {service_id!r} is not part of this response")
-    return reg.bind(registry_store, service_id, requester_id)
 
 
 def response_to_dict(response: DiscoveryResponse) -> dict:

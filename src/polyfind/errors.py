@@ -133,10 +133,6 @@ class RepoUnreachable(PolyfindError):
     http_status = 502
 
 
-class MalformedCatalog(PolyfindError):
-    http_status = 502
-
-
 class ValidationFailed(PolyfindError):
     """Remote portion fetched but failed schema or structural validation."""
 
@@ -160,10 +156,6 @@ class PortionUnavailable(PolyfindError):
 
 class DetectionFailed(PolyfindError):
     http_status = 500
-
-
-class NotInResponse(PolyfindError):
-    http_status = 404
 
 
 # --- configuration / startup ---

@@ -1,8 +1,8 @@
 """Fetching ontology portions from remote repositories and merging them in.
 
-A repository is a plain HTTP tree: catalog.json at the root, portion
-documents under portions/<domain>.<lang>.json, optional alignment documents
-under alignments/<domain>.json. Fetch and merge are separate steps so a
+A repository is a plain HTTP tree: portion documents under
+portions/<domain>.<lang>.json, optional alignment documents under
+alignments/<domain>.json. Fetch and merge are separate steps so a
 server can do network I/O outside its write lock; merge is pure and either
 returns a fully updated store or raises, never a partial state.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import (
     InvariantViolation,
-    MalformedCatalog,
     MalformedDocument,
     PortionNotFound,
     RepoUnreachable,
@@ -32,7 +31,7 @@ from .ontology import (
     resolves,
     set_portion,
 )
-from .textutil import check_fields, check_identifier, check_language, load_json
+from .textutil import check_identifier, check_language
 
 log = logging.getLogger(__name__)
 
@@ -89,29 +88,6 @@ def _fetch(url: str, timeout: float) -> bytes:
             if attempt == 0:
                 log.warning("retrying %s after %s", url, exc)
     raise RepoUnreachable(f"GET {url} failed: {last}") from last
-
-
-_CATALOG_FIELDS = {"portions": list}
-_CATALOG_ENTRY_FIELDS = {"domain": str, "language": str, "version": int}
-
-
-def list_remote(repo: RemoteRepoRef, timeout: float = DEFAULT_TIMEOUT) -> list[tuple[str, str, int]]:
-    """Portions a repository's catalog offers, as (domain, language, version).
-
-    Library API: the server itself imports by name and never reads catalogs.
-    """
-    url = f"{repo.base_url.rstrip('/')}/catalog.json"
-    try:
-        data = _fetch(url, timeout)
-    except _NotFound as exc:
-        raise RepoUnreachable(f"repository {repo.name!r} has no catalog.json") from exc
-    try:
-        doc = check_fields(load_json(data), "$", _CATALOG_FIELDS, {})
-        for i, entry in enumerate(doc["portions"]):
-            check_fields(entry, f"$.portions[{i}]", _CATALOG_ENTRY_FIELDS, {})
-    except (MalformedDocument, SchemaViolation) as exc:
-        raise MalformedCatalog(f"catalog of {repo.name!r}: {exc}") from exc
-    return [(e["domain"], e["language"], e["version"]) for e in doc["portions"]]
 
 
 def fetch_portion_docs(
@@ -186,21 +162,6 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     merged = set_portion(store, remote)
     # Links may reference portions we do not hold; those are skipped, not errors.
     return add_alignment(merged, *(l for l in links if resolves(merged, l))), report(outcome)
-
-
-def import_portion(
-    repo: RemoteRepoRef,
-    domain: str,
-    language: str,
-    store: OntologyStore,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> tuple[OntologyStore, ImportReport]:
-    """Fetch and merge in one call.
-
-    Library API: the server fetches and merges in two steps instead, so that
-    it can fetch outside its write lock.
-    """
-    return merge_portion(store, fetch_portion_docs(repo, domain, language, timeout))
 
 
 def report_to_dict(report: ImportReport) -> dict:

@@ -89,7 +89,7 @@ def _path_sort_key(path: TranslationPath):
     return (
         0 if path.all_exact else 1,
         -path.confidence,
-        str(path.target.term),
+        path.target.term,
         tuple(str(hop.target) for hop in path.hops),
     )
 
@@ -151,18 +151,18 @@ def expand_terms(
                     next_frontier.append(rel.target)
         frontier = next_frontier
     found = [tid for tid in distance if distance[tid] > 0]
-    found.sort(key=lambda tid: (distance[tid], str(tid)))
+    found.sort(key=lambda tid: (distance[tid], tid))
     return found
 
 
 def path_to_dict(path: TranslationPath) -> dict:
     return {
-        "source": {"term": str(path.source.term), "lang": path.source.lang},
-        "target": {"term": str(path.target.term), "lang": path.target.lang},
+        "source": path.source._asdict(),
+        "target": path.target._asdict(),
         "confidence": path.confidence,
         "hops": [
             {
-                "target": {"term": str(hop.target.term), "lang": hop.target.lang},
+                "target": hop.target._asdict(),
                 "relation": hop.relation,
                 "confidence": hop.confidence,
             }

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DanglingRelation,
@@ -46,23 +46,28 @@ RELATION_KINDS = ("broader", "narrower", "related")
 _INVERSE = {"broader": "narrower", "narrower": "broader"}
 ALIGNMENT_RELATIONS = ("exact", "close")
 
-_TERM_ID_RE = re.compile(rf"({IDENTIFIER_RE.pattern})#({IDENTIFIER_RE.pattern})\Z")
+_TERM_ID_RE = re.compile(f"{IDENTIFIER_RE.pattern}#{IDENTIFIER_RE.pattern}")
 
 
-@dataclass(frozen=True, order=True)
-class TermId:
-    domain: str
-    local: str
+class TermId(str):
+    """A term id: its text domain#local, checked once at construction.
+    It hashes, compares and sorts as that text; since "#" sorts before every
+    identifier character, text order is (domain, local) order."""
 
-    def __str__(self) -> str:
-        return f"{self.domain}#{self.local}"
+    __slots__ = ()
 
-    @classmethod
-    def parse(cls, text: str) -> "TermId":
-        m = _TERM_ID_RE.match(text) if isinstance(text, str) else None
-        if not m:
+    def __new__(cls, text: str) -> "TermId":
+        if not (isinstance(text, str) and _TERM_ID_RE.fullmatch(text)):
             raise InvalidIdentifier(f"term id {text!r} must look like domain#local")
-        return cls(m.group(1), m.group(2))
+        return super().__new__(cls, text)
+
+    @property
+    def domain(self) -> str:
+        return self.partition("#")[0]
+
+    @property
+    def local(self) -> str:
+        return self.partition("#")[2]
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,9 @@ class OntologyPortion:
     @cached_property
     def label_index(self) -> dict[str, tuple[tuple[TermId, str], ...]]:
         """Normalized label -> (term id, preferred|alt) pairs ordered by
-        str(term id), one per term, preferred winning; built on first lookup."""
+        term id, one per term, preferred winning; built on first lookup."""
         index: dict[str, dict[TermId, str]] = {}
-        for tid in sorted(self.terms, key=str):
+        for tid in sorted(self.terms):
             _add_labels(index, tid, self.terms[tid])
         return {key: tuple(hits.items()) for key, hits in index.items()}
 
@@ -145,7 +150,7 @@ def _patched_index(base: OntologyPortion, changed: list[Term]) -> dict:
     index = dict(base.label_index)
     for key, hits in fresh.items():
         kept = [pair for pair in index.get(key, ()) if pair[0] not in ids]
-        pairs = sorted([*kept, *hits.items()], key=lambda pair: str(pair[0]))
+        pairs = sorted([*kept, *hits.items()])  # one pair per id
         if pairs:
             index[key] = tuple(pairs)
         else:
@@ -225,14 +230,14 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        names = ", ".join(str(t) for t in self.terms)
+        names = ", ".join(self.terms)
         return f"{self.rule}[{names}]: {self.detail}"
 
 
 def _broader_sccs(terms: Mapping[TermId, Term]) -> list[list[TermId]]:
     # Tarjan over the broader-edge subgraph; iterative to survive deep chains.
-    # Nodes are term positions in str order, so the loop hashes no TermId.
-    order = sorted(terms, key=str)
+    # Nodes are term positions in id order, so the loop's state is index arrays.
+    order = sorted(terms)
     position = {tid: i for i, tid in enumerate(order)}
     graph = [
         [position[r.target] for r in terms[tid].relations
@@ -319,11 +324,11 @@ def validate_portion(portion: OntologyPortion) -> list[Violation]:
     out: list[Violation] = []
     if portion.version < 1:
         out.append(Violation("version", (), f"version {portion.version} must be >= 1"))
-    for tid in sorted(portion.terms, key=str):
+    for tid in sorted(portion.terms):
         _check_term(portion.domain, portion.terms, tid, out)
     for scc in _broader_sccs(portion.terms):
         out.append(Violation("broader-cycle", tuple(scc), "broader edges form a cycle"))
-    out.sort(key=lambda v: (v.rule, tuple(str(t) for t in v.terms), v.detail))
+    out.sort(key=lambda v: (v.rule, v.terms, v.detail))
     return out
 
 
@@ -333,11 +338,11 @@ def validate_portion(portion: OntologyPortion) -> list[Violation]:
 def _term_to_dict(term: Term) -> dict:
     """One term as portion_to_dict emits it."""
     return {
-        "id": str(term.id),
+        "id": term.id,
         "preferred_label": term.preferred_label,
         "alt_labels": list(term.alt_labels),
         "definition": term.definition,
-        "relations": [{"kind": r.kind, "target": str(r.target)} for r in term.relations],
+        "relations": [{"kind": r.kind, "target": r.target} for r in term.relations],
     }
 
 
@@ -348,7 +353,7 @@ def portion_to_dict(portion: OntologyPortion) -> dict:
         "domain": portion.domain,
         "language": portion.language,
         "version": portion.version,
-        "terms": [_term_to_dict(portion.terms[tid]) for tid in sorted(portion.terms, key=str)],
+        "terms": [_term_to_dict(portion.terms[tid]) for tid in sorted(portion.terms)],
     }
 
 
@@ -362,7 +367,7 @@ def save_portion(portion: OntologyPortion) -> bytes:
         {"domain": portion.domain, "language": portion.language, "version": portion.version},
         ensure_ascii=False,
     )
-    terms = b", ".join(portion.terms[tid].canonical_json for tid in sorted(portion.terms, key=str))
+    terms = b", ".join(portion.terms[tid].canonical_json for tid in sorted(portion.terms))
     return b'%s, "terms": [%s]}\n' % (head[:-1].encode(), terms)
 
 
@@ -383,7 +388,7 @@ _REF_FIELDS = {"term": str, "lang": str}
 
 def _parse_term_id(value: str, path: str) -> TermId:
     try:
-        return TermId.parse(value)
+        return TermId(value)
     except InvalidIdentifier as exc:
         raise SchemaViolation(path, str(exc)) from exc
 
@@ -406,11 +411,11 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
         raise SchemaViolation("$.language", f"bad language tag {language!r}")
     if base is not None and (base.domain, base.language) != (domain, language):
         base = None
-    known = {} if base is None else {str(tid): term for tid, term in base.terms.items()}
+    known = {} if base is None else base.terms
     terms: dict[TermId, Term] = {}
     changed: list[Term] = []  # the terms not reused from base
     # Each id text parsed once; targets share the keys, and the base's.
-    ids: dict[str, TermId] = {text: term.id for text, term in known.items()}
+    ids: dict[str, TermId] = {tid: tid for tid in known}
 
     def term_id(text: str, path: str) -> TermId:
         tid = ids.get(text)
@@ -503,8 +508,10 @@ def _rebased(
 # --- cross-language alignment ---
 
 
-@dataclass(frozen=True, order=True)
-class TermRef:
+class TermRef(NamedTuple):
+    """A term in one language. Links order their ends by this text,
+    domain#local@lang, which is not tuple order: "x#a1@fr" < "x#a@en"."""
+
     term: TermId
     lang: str
 
@@ -551,7 +558,7 @@ class OntologyStore:
             out.setdefault(link.source, []).append(link)
             out.setdefault(link.target, []).append(link.reversed())
         return {
-            ref: tuple(sorted(links, key=lambda l: (l.target.lang, str(l.target.term))))
+            ref: tuple(sorted(links, key=lambda l: (l.target.lang, l.target.term)))
             for ref, links in out.items()
         }
 
@@ -631,16 +638,12 @@ def iter_links(store: OntologyStore) -> list[AlignmentLink]:
 # --- alignment persistence ---
 
 
-def _ref_to_dict(ref: TermRef) -> dict:
-    return {"term": str(ref.term), "lang": ref.lang}
-
-
 def save_alignments(links: Iterable[AlignmentLink]) -> bytes:
     doc = {
         "links": [
             {
-                "source": _ref_to_dict(link.source),
-                "target": _ref_to_dict(link.target),
+                "source": link.source._asdict(),
+                "target": link.target._asdict(),
                 "relation": link.relation,
                 "confidence": link.confidence,
             }

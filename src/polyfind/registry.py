@@ -55,10 +55,6 @@ class BindingTicket:
     issued_at: str
 
 
-def empty_registry() -> RegistryStore:
-    return RegistryStore({}, {}, {}, 0)
-
-
 def _field_counts(descriptor: ServiceDescriptor) -> dict[str, dict[str, int]]:
     counts: dict[str, dict[str, int]] = {}
     for field_name, text in field_texts(descriptor):

@@ -7,8 +7,8 @@ always up to NFC, case folding, and Arabic vocalization.
 This module also owns every rule that outside input is checked against:
 the identifier and language-tag formats (IDENTIFIER_RE, LANGUAGE_RE), JSON
 decoding (load_json) and the shape of JSON objects (check_fields). Portions,
-alignments, descriptors, profiles, configuration, catalogs and HTTP bodies
-are all checked through them, so one rule cannot drift between inputs.
+alignments, descriptors, profiles, configuration and HTTP bodies are all
+checked through them, so one rule cannot drift between inputs.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.server
+import json
 import math
 import threading
 from collections import Counter
@@ -32,7 +33,7 @@ from polyfind.ontology import (
     load_portion,
     set_portion,
 )
-from polyfind.registry import DEFAULT_FIELD_WEIGHTS, empty_registry, publish
+from polyfind.registry import DEFAULT_FIELD_WEIGHTS, RegistryStore, publish
 from polyfind.textutil import normalize_text
 
 # Tier-1 runs hypothesis with its default settings; CI also runs the
@@ -77,13 +78,44 @@ def load_fixture_ontology(
     return store
 
 
+# Local names where one is a prefix of another, with "-", "_", a digit and
+# an uppercase letter. "term@lang" text order differs from (term, lang)
+# order on them: "x#a1@fr" < "x#a@en", since "1" < "@".
+PREFIX_LOCALS = ("a", "a1", "a-b", "aB", "a_")
+
+
+def prefix_store(links: list[tuple[str, str, str, float]]) -> OntologyStore:
+    """Portions x.de, x.en and x.fr, each holding x#<local> for every local
+    in PREFIX_LOCALS, and `links` as (source, target, relation, confidence)
+    with "domain#local@lang" endpoints. Built from documents, not constructors."""
+    store = empty_store()
+    for lang in ("de", "en", "fr"):
+        terms = [
+            {"id": f"x#{local}", "preferred_label": f"{local} {lang}", "alt_labels": [],
+             "definition": None, "relations": []}
+            for local in PREFIX_LOCALS
+        ]
+        doc = {"domain": "x", "language": lang, "version": 1, "terms": terms}
+        store = set_portion(store, load_portion(json.dumps(doc).encode()))
+
+    def ref(text):
+        term, lang = text.split("@")
+        return {"term": term, "lang": lang}
+
+    doc = {"links": [
+        {"source": ref(source), "target": ref(target), "relation": relation, "confidence": conf}
+        for source, target, relation, conf in links
+    ]}
+    return add_alignment(store, *load_alignments(json.dumps(doc).encode()))
+
+
 def load_fixture_descriptors() -> list[ServiceDescriptor]:
     return [parse_descriptor(path.read_bytes()) for path in DESCRIPTOR_FILES]
 
 
 def build_fixture_registry():
     """Publish the ar, en, fr fixture descriptors; returns (store, ids)."""
-    store = empty_registry()
+    store = RegistryStore()
     ids = []
     for descriptor in load_fixture_descriptors():
         store, sid = publish(store, descriptor)

@@ -39,7 +39,7 @@ from polyfind.ontology import (
     empty_store,
     set_portion,
 )
-from polyfind.registry import empty_registry, find, publish
+from polyfind.registry import RegistryStore, find, publish
 from polyfind.state import AppState
 
 from conftest import (
@@ -162,7 +162,7 @@ def test_c05_registry_matches_bruteforce_oracle():
     started = time.perf_counter()
     comparisons = 0
     for _ in range(200):
-        store = empty_registry()
+        store = RegistryStore()
         for _ in range(rng.randint(0, 20)):
             store, _ = publish(store, random_descriptor(rng))
         for _ in range(3):
@@ -191,7 +191,7 @@ def random_alignment_store(rng):
     refs_by_lang = {}
     for lang in langs:
         count = rng.randint(1, 30 // len(langs))
-        terms = [Term(TermId("d", f"t{i}"), f"term {i}") for i in range(count)]
+        terms = [Term(TermId(f"d#t{i}"), f"term {i}") for i in range(count)]
         store = set_portion(store, add_terms(create_portion("d", lang), terms))
         refs_by_lang[lang] = [TermRef(term.id, lang) for term in terms]
     all_refs = [ref for refs in refs_by_lang.values() for ref in refs]

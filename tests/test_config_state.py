@@ -409,7 +409,7 @@ class TestAppState:
         assert state.snapshot().ontology.portions == {}
 
 
-NEGATIVE = TermId("math", "negative_number")
+NEGATIVE = TermId("math#negative_number")
 
 
 def fixture_data_dir(tmp_path):
@@ -430,7 +430,7 @@ def en_portion(drop_negative_number=False):
     terms = dict(en.terms)
     if drop_negative_number:
         del terms[NEGATIVE]
-        number = TermId("math", "number")
+        number = TermId("math#number")
         terms[number] = replace(terms[number], relations=())
     return replace(en, version=en.version + 1, terms=terms)
 
@@ -496,7 +496,7 @@ class TestAlignmentFiles:
             load_snapshot(data)
 
 
-GEO_A = TermId("geo", "a")
+GEO_A = TermId("geo#a")
 
 
 class TestSeveralAlignmentFiles:
@@ -509,11 +509,11 @@ class TestSeveralAlignmentFiles:
         math#square_root@en, in alignments/geo.json ("geo" < "math")."""
         data = fixture_data_dir(tmp_path)
         geo = onto.add_terms(
-            onto.create_portion("geo", "fr"), [Term(GEO_A, "a"), Term(TermId("geo", "b"), "b")]
+            onto.create_portion("geo", "fr"), [Term(GEO_A, "a"), Term(TermId("geo#b"), "b")]
         )
         (data / "portions" / "geo.fr.json").write_bytes(onto.save_portion(geo))
         link = AlignmentLink(
-            TermRef(GEO_A, "fr"), TermRef(TermId("math", "square_root"), "en"), "close", 0.5
+            TermRef(GEO_A, "fr"), TermRef(TermId("math#square_root"), "en"), "close", 0.5
         )
         (data / "alignments" / "geo.json").write_bytes(onto.save_alignments([link]))
         return data

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyfind import descriptor as descriptor_module
 from polyfind.descriptor import (
     SIMPLE_TYPES,
     FieldToken,
@@ -62,7 +63,7 @@ class TestParseFixture:
         assert d.provider == "Acme Math"
         assert d.endpoint == "https://math.example.com/sqrt"
         assert d.documentation == "Finds the square root of any number."
-        assert d.category_terms == ((TermId("math", "square_root"), "en"),)
+        assert d.category_terms == ((TermId("math#square_root"), "en"),)
         (op,) = d.operations
         assert op.name == "sqrt"
         assert op.inputs == (("x", "decimal"),)
@@ -343,17 +344,21 @@ class TestSerialize:
     @pytest.mark.parametrize("overrides", [
         {"name": "  "},
         {"language": "english"},
-        {"category_terms": ((TermId("a b", "c"), "en"),)},
+        {"category_terms": (("a b#c", "en"),)},
         {"endpoint": "http://[x"},
     ], ids=["blank-name", "bad-language", "spaced-term", "unparsable-endpoint"])
     def test_refusal_names_the_parser_error(self, overrides):
         with pytest.raises(InvariantViolation, match="^descriptor cannot be stored: "):
             serialize_descriptor(minimal(**overrides))
 
-    def test_refused_if_read_back_differs(self):
-        descriptor = minimal(category_terms=(("math#root", "en"),))  # a str, not a TermId
+    def test_refused_if_read_back_differs(self, monkeypatch):
+        parse = descriptor_module.parse_descriptor
+        monkeypatch.setattr(
+            descriptor_module, "parse_descriptor",
+            lambda data: replace(parse(data), documentation="another"),
+        )
         with pytest.raises(InvariantViolation, match="reads back as another descriptor"):
-            serialize_descriptor(descriptor)
+            serialize_descriptor(minimal())
 
     def test_descriptor_to_dict_shape(self):
         doc = descriptor_to_dict(parse_descriptor(EN_FIXTURE.read_bytes()))
@@ -408,7 +413,7 @@ def descriptors(draw):
             OperationSig(op_name, draw(_text), inputs, draw(st.sampled_from(SIMPLE_TYPES)))
         )
     categories = tuple(
-        (TermId("math", draw(_ident)), draw(st.sampled_from(["ar", "en", "fr"])))
+        (TermId(f"math#{draw(_ident)}"), draw(st.sampled_from(["ar", "en", "fr"])))
         for _ in range(draw(st.integers(0, 2)))
     )
     return ServiceDescriptor(
@@ -431,7 +436,8 @@ _any_overrides = {
     "provider": _any,
     "endpoint": st.sampled_from(["http://[", "http://[x", "e:"]) | _any,
     "category_terms": st.lists(st.tuples(
-        st.builds(TermId, _any | _ident, _any | _ident), st.sampled_from(["en"]) | _any,
+        st.builds(lambda d, l: f"{d}#{l}", _any | _ident, _any | _ident),
+        st.sampled_from(["en"]) | _any,
     ), max_size=2).map(tuple),
     "operations": st.lists(st.builds(
         OperationSig, _any | _ident, _any,

@@ -6,22 +6,18 @@ from polyfind.discovery import (
     Query,
     discover,
     response_to_dict,
-    select_and_bind,
 )
 from polyfind.errors import (
     DetectionFailed,
     EmptyQuery,
-    NotInResponse,
     PortionUnavailable,
-    UnknownService,
 )
 from polyfind.importer import ImportReport
 from polyfind.ontology import Relation, Term, TermId, add_terms, set_portion
-from polyfind.registry import remove
 
 from conftest import build_fixture_registry, load_fixture_ontology
 
-SQ = TermId("math", "square_root")
+SQ = TermId("math#square_root")
 
 AR_QUERY = "الجذر التربيعي"
 EN_QUERY = "square root"
@@ -178,7 +174,7 @@ class TestExpansion:
         ontology = load_fixture_ontology()
         en = ontology.portions[("math", "en")]
         extra = Term(
-            TermId("math", "quadrature"),
+            TermId("math#quadrature"),
             "quadrature",
             relations=(Relation("related", SQ),),
         )
@@ -238,30 +234,6 @@ class TestImportHook:
 
         response = run(EN_QUERY, fixture_ontology, store, profiles, import_missing=hook)
         assert response.imports_triggered == ()
-
-
-class TestSelectAndBind:
-    def test_bind_top_result(self, fixture_ontology, registry, profiles):
-        store, _ = registry
-        response = run(AR_QUERY, fixture_ontology, store, profiles)
-        top = response.results[0]
-        ticket = select_and_bind(response, top.service_id, "alice", store)
-        assert ticket.service_id == top.service_id
-        assert ticket.endpoint == store.descriptors[top.service_id].endpoint
-
-    def test_absent_id_rejected(self, fixture_ontology, registry, profiles):
-        store, _ = registry
-        response = run(AR_QUERY, fixture_ontology, store, profiles)
-        with pytest.raises(NotInResponse):
-            select_and_bind(response, "s-999999", "alice", store)
-
-    def test_stale_response_unknown_service(self, fixture_ontology, registry, profiles):
-        store, _ = registry
-        response = run(AR_QUERY, fixture_ontology, store, profiles)
-        top = response.results[0].service_id
-        shrunk = remove(store, top)
-        with pytest.raises(UnknownService):
-            select_and_bind(response, top, "alice", shrunk)
 
 
 class TestResponseSerialization:

@@ -8,7 +8,6 @@ from functools import partial
 import pytest
 
 from polyfind.errors import (
-    MalformedCatalog,
     PortionNotFound,
     RepoUnreachable,
     ValidationFailed,
@@ -16,8 +15,6 @@ from polyfind.errors import (
 from polyfind.importer import (
     RemoteRepoRef,
     fetch_portion_docs,
-    import_portion,
-    list_remote,
     merge_portion,
     report_to_dict,
 )
@@ -25,7 +22,7 @@ from polyfind.ontology import TermId, TermRef, empty_store, iter_links, resolve
 
 from conftest import REPO_ROOT, _QuietHandler
 
-SQ = TermId("math", "square_root")
+SQ = TermId("math#square_root")
 
 
 @contextmanager
@@ -42,42 +39,15 @@ def serve_dir(root):
         thread.join()
 
 
+def import_portion(repo, domain, language, store):
+    """Fetch and merge, the two steps the server takes."""
+    return merge_portion(store, fetch_portion_docs(repo, domain, language))
+
+
 def copy_repo(tmp_path):
     root = tmp_path / "repo"
     shutil.copytree(REPO_ROOT, root)
     return root
-
-
-class TestCatalog:
-    def test_fixture_catalog_entries(self, repo_server):
-        repo = RemoteRepoRef("fixture", repo_server)
-        assert list_remote(repo) == [("math", "ar", 2), ("math", "en", 2), ("math", "fr", 2)]
-
-    def test_unreachable_host(self):
-        repo = RemoteRepoRef("down", "http://127.0.0.1:1")
-        with pytest.raises(RepoUnreachable):
-            list_remote(repo, timeout=0.2)
-
-    def test_missing_version_field(self, tmp_path):
-        root = copy_repo(tmp_path)
-        catalog = json.loads((root / "catalog.json").read_text())
-        del catalog["portions"][0]["version"]
-        (root / "catalog.json").write_text(json.dumps(catalog))
-        with serve_dir(root) as repo:
-            with pytest.raises(MalformedCatalog):
-                list_remote(repo)
-
-    def test_catalog_not_json(self, tmp_path):
-        root = copy_repo(tmp_path)
-        (root / "catalog.json").write_text("not json {")
-        with serve_dir(root) as repo:
-            with pytest.raises(MalformedCatalog):
-                list_remote(repo)
-
-    def test_no_catalog_at_all(self, tmp_path):
-        with serve_dir(tmp_path) as repo:
-            with pytest.raises(RepoUnreachable):
-                list_remote(repo)
 
 
 class TestImport:

@@ -19,13 +19,13 @@ from polyfind.ontology import (
     set_portion,
 )
 
-from conftest import PORTION_FILES, load_fixture_ontology, oracle_translate
+from conftest import PORTION_FILES, load_fixture_ontology, oracle_translate, prefix_store
 
-SQ = TermId("math", "square_root")
-RF = TermId("math", "root_finding")
-OP = TermId("math", "operation")
-NEG = TermId("math", "negative_number")
-NUM = TermId("math", "number")
+SQ = TermId("math#square_root")
+RF = TermId("math#root_finding")
+OP = TermId("math#operation")
+NEG = TermId("math#negative_number")
+NUM = TermId("math#number")
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +58,10 @@ class TestMatchKeywords:
     def test_bigram_shadows_unigram(self):
         portion = add_terms(
             create_portion("d", "en"),
-            [Term(TermId("d", "a"), "square root"), Term(TermId("d", "b"), "square")],
+            [Term(TermId("d#a"), "square root"), Term(TermId("d#b"), "square")],
         )
         matches, unmatched = match_keywords(["square", "root"], portion)
-        assert [m.term for m in matches] == [TermId("d", "a")]
+        assert [m.term for m in matches] == [TermId("d#a")]
         assert unmatched == []
 
     def test_case_and_diacritics_normalized(self, en_portion):
@@ -84,7 +84,7 @@ class TestLookupCost:
 
     @staticmethod
     def wide_portion(n):
-        terms = [Term(TermId("dom", f"t{i}"), f"w{i}", (f"w{i} w{i + 1}",)) for i in range(n)]
+        terms = [Term(TermId(f"dom#t{i}"), f"w{i}", (f"w{i} w{i + 1}",)) for i in range(n)]
         return add_terms(create_portion("dom", "en"), terms)
 
     def normalize_calls(self, monkeypatch, portion):
@@ -148,7 +148,7 @@ class TestTranslate:
 
     def test_unknown_term(self, fixture_ontology):
         with pytest.raises(UnknownTerm):
-            translate(TermRef(TermId("math", "nope"), "ar"), "en", fixture_ontology)
+            translate(TermRef(TermId("math#nope"), "ar"), "en", fixture_ontology)
 
     def test_symmetry(self, fixture_ontology):
         forward = translate(TermRef(SQ, "ar"), "fr", fixture_ontology)
@@ -160,7 +160,7 @@ class TestTranslate:
 
     def test_all_exact_outranks_close_at_same_length(self):
         store = empty_store()
-        tid = TermId("g", "t")
+        tid = TermId("g#t")
         for lang in ("aa", "bb", "cc", "dd"):
             store = set_portion(store, add_terms(create_portion("g", lang), [Term(tid, f"t-{lang}")]))
         def ref(lang):
@@ -185,6 +185,29 @@ class TestTranslate:
                     assert translate(ref, target, fixture_ontology) == oracle_translate(
                         fixture_ontology, ref, target
                     )
+
+    def test_pivot_paths_order_hops_by_text(self):
+        # Equal confidence and target term: the hop ends decide, as
+        # "domain#local@lang" text, so the pivot x#a1@fr comes before x#a@fr.
+        store = prefix_store([
+            ("x#a@en", "x#a@fr", "exact", 1.0),
+            ("x#a@en", "x#a1@fr", "exact", 1.0),
+            ("x#a@fr", "x#a@de", "exact", 1.0),
+            ("x#a1@fr", "x#a@de", "exact", 1.0),
+            ("x#a1@fr", "x#a-b@de", "exact", 1.0),
+            ("x#a@fr", "x#a_@de", "exact", 1.0),
+            ("x#a@fr", "x#aB@de", "exact", 1.0),
+        ])
+        (a,) = (tid for tid in store.portions[("x", "en")].terms if tid.local == "a")
+        paths = translate(TermRef(a, "en"), "de", store)
+        assert [tuple(str(hop.target) for hop in path.hops) for path in paths] == [
+            ("x#a1@fr", "x#a@de"),
+            ("x#a@fr", "x#a@de"),
+            ("x#a1@fr", "x#a-b@de"),
+            ("x#a@fr", "x#aB@de"),
+            ("x#a@fr", "x#a_@de"),
+        ]
+        assert paths == oracle_translate(store, TermRef(a, "en"), "de")
 
     def test_path_to_dict_shape(self, fixture_ontology):
         (path,) = translate(TermRef(NUM, "ar"), "en", fixture_ontology)
@@ -219,13 +242,13 @@ class TestExpandTerms:
 
     def test_unknown_term(self, en_portion):
         with pytest.raises(UnknownTerm):
-            expand_terms([TermId("math", "nope")], en_portion)
+            expand_terms([TermId("math#nope")], en_portion)
 
     def test_no_relations(self, en_portion):
         assert expand_terms([NUM], en_portion) == []
 
     def test_depth_two_chain(self):
-        a, b, c = (TermId("d", x) for x in "abc")
+        a, b, c = (TermId(f"d#{x}") for x in "abc")
         portion = add_terms(
             create_portion("d", "en"),
             [

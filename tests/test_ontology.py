@@ -47,11 +47,11 @@ from polyfind.ontology import (
 )
 from polyfind.textutil import normalize_text
 
-from conftest import ALIGNMENT_FILE, PORTION_FILES, load_fixture_ontology
+from conftest import ALIGNMENT_FILE, PORTION_FILES, load_fixture_ontology, prefix_store
 
-SQ = TermId("math", "square_root")
-OP = TermId("math", "operation")
-RF = TermId("math", "root_finding")
+SQ = TermId("math#square_root")
+OP = TermId("math#operation")
+RF = TermId("math#root_finding")
 
 
 def small_portion(language="en"):
@@ -103,7 +103,7 @@ class TestAddTerm:
 
     def test_wrong_domain(self):
         with pytest.raises(InvalidIdentifier):
-            add_term(create_portion("math", "ar"), Term(TermId("sports", "x"), "x"))
+            add_term(create_portion("math", "ar"), Term(TermId("sports#x"), "x"))
 
     def test_batch_is_one_version_bump(self):
         portion = small_portion()
@@ -131,7 +131,7 @@ class TestAddLabel:
 
     def test_unknown_term(self):
         with pytest.raises(UnknownTerm):
-            add_label(small_portion(), TermId("math", "nope"), "x")
+            add_label(small_portion(), TermId("math#nope"), "x")
 
     def test_blank_label(self):
         with pytest.raises(InvariantViolation):
@@ -198,7 +198,7 @@ def labelled_portions(draw):
             alts.append(preferred.upper())  # alt equal to the preferred label
         if alts and draw(st.booleans()):
             alts.append(alts[0])  # a duplicate alt label
-        batch.append(Term(TermId("dom", f"t{i}"), preferred, tuple(alts)))
+        batch.append(Term(TermId(f"dom#t{i}"), preferred, tuple(alts)))
     language = draw(st.sampled_from(["en", "ar"]))
     return add_terms(create_portion("dom", language), batch)
 
@@ -215,7 +215,7 @@ class TestLabelIndex:
             assert lookup_label_kinds(portion, query) == brute_force_lookup(portion, query)
 
     def test_shared_label_lists_each_term_once_in_id_order(self):
-        a, b = TermId("dom", "t10"), TermId("dom", "t2")
+        a, b = TermId("dom#t10"), TermId("dom#t2")
         portion = add_terms(create_portion("dom", "en"), [
             Term(b, "root", ("Root", "root")),
             Term(a, "radix", ("ROOT",)),
@@ -225,7 +225,7 @@ class TestLabelIndex:
     def test_edited_portion_sees_the_edit(self):
         portion = small_portion()
         assert lookup_label_kinds(portion, "radix") == []  # builds the index
-        new = TermId("math", "radix")
+        new = TermId("math#radix")
         replaced = replace(portion, terms={**portion.terms, new: Term(new, "radix")})
         assert lookup_label_kinds(replaced, "radix") == [(new, "preferred")]
         added = add_terms(portion, [Term(new, "radix")])
@@ -249,7 +249,7 @@ class TestValidatePortion:
             assert validate_portion(load_portion(path.read_bytes())) == []
 
     def test_broader_cycle(self):
-        a, b = TermId("d", "a"), TermId("d", "b")
+        a, b = TermId("d#a"), TermId("d#b")
         detail = structural_error(lambda: add_terms(
             create_portion("d", "en"),
             [
@@ -261,7 +261,7 @@ class TestValidatePortion:
 
     def test_missing_inverse(self):
         # Hand-built terms bypass add_terms, so no back-edge exists.
-        a, b = TermId("d", "a"), TermId("d", "b")
+        a, b = TermId("d#a"), TermId("d#b")
         terms = {a: Term(a, "a", relations=(Relation("broader", b),)), b: Term(b, "b")}
         assert structural_error(lambda: OntologyPortion("d", "en", 2, terms)) == (
             "portion is structurally invalid: missing-inverse[d#a, d#b]: "
@@ -269,7 +269,7 @@ class TestValidatePortion:
         )
 
     def test_self_relation_and_bad_version(self):
-        a = TermId("d", "a")
+        a = TermId("d#a")
         terms = {a: Term(a, "a", relations=(Relation("related", a),))}
         assert structural_error(lambda: OntologyPortion("d", "en", 0, terms)) == (
             "portion is structurally invalid: self-relation[d#a]: related points at itself; "
@@ -277,7 +277,7 @@ class TestValidatePortion:
         )
 
     def test_violation_str_names_rule_and_terms(self):
-        a = TermId("d", "a")
+        a = TermId("d#a")
         assert structural_error(lambda: OntologyPortion("d", "en", 1, {a: Term(a, " ")})) == (
             "portion is structurally invalid: empty-label[d#a]: label ' ' normalizes to nothing"
         )
@@ -343,7 +343,7 @@ def broader_graphs(draw):
     # Up to 12 terms, so str order (d#t10 < d#t2) differs from numeric order;
     # self-edges allowed; each back-edge present or not.
     n = draw(st.integers(min_value=1, max_value=12))
-    ids = [TermId("d", f"t{i}") for i in range(n)]
+    ids = [TermId(f"d#t{i}") for i in range(n)]
     broader = {
         tid: draw(st.lists(st.sampled_from(ids), unique=True, max_size=3)) for tid in ids
     }
@@ -469,7 +469,7 @@ _label = st.text(
 @st.composite
 def portions(draw):
     n = draw(st.integers(min_value=1, max_value=6))
-    ids = [TermId("dom", f"t{i}") for i in range(n)]
+    ids = [TermId(f"dom#t{i}") for i in range(n)]
     batch = []
     for i, tid in enumerate(ids):
         relations = []
@@ -537,6 +537,62 @@ def hard_text_portions(draw):
 def reference_encoding(portion):
     """What save_portion writes, by its definition."""
     return (json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n").encode()
+
+
+_ident_text = st.from_regex(r"[A-Za-z0-9_-]{1,4}", fullmatch=True)
+
+
+class TestIdOrder:
+    """Files list ids and links in text order: an id's domain#local, a
+    link end's domain#local@lang, which is not (term, lang) order."""
+
+    LINKS = [
+        ("x#a@en", "x#a1@fr", "exact", 1.0),
+        ("x#a-b@en", "x#a@fr", "close", 0.5),
+        ("x#a_@en", "x#aB@fr", "exact", 0.75),
+        ("x#a@fr", "x#a@en", "exact", 1.0),
+        ("x#a@en", "x#a_@fr", "close", 0.25),
+        ("x#a@en", "x#a-b@de", "exact", 1.0),
+    ]
+
+    def test_saved_links_keep_text_orientation_and_order(self):
+        def link(source, target, relation, confidence):
+            (s, sl), (t, tl) = source.split("@"), target.split("@")
+            return (
+                f'{{"source": {{"term": "{s}", "lang": "{sl}"}}, '
+                f'"target": {{"term": "{t}", "lang": "{tl}"}}, '
+                f'"relation": "{relation}", "confidence": {confidence}}}'
+            )
+
+        expected = [
+            link("x#a-b@de", "x#a@en", "exact", 1.0),
+            link("x#a-b@en", "x#a@fr", "close", 0.5),
+            link("x#a1@fr", "x#a@en", "exact", 1.0),  # "1" < "@": x#a1@fr is the source
+            link("x#a@en", "x#a@fr", "exact", 1.0),
+            link("x#a@en", "x#a_@fr", "close", 0.25),
+            link("x#aB@fr", "x#a_@en", "exact", 0.75),
+        ]
+        body = save_alignments(iter_links(prefix_store(self.LINKS)))
+        assert body == ('{"links": [' + ", ".join(expected) + "]}\n").encode()
+
+    def test_links_from_order(self):
+        store = prefix_store(self.LINKS)
+        (a,) = (tid for tid in store.portions[("x", "en")].terms if tid.local == "a")
+        assert [str(l.target) for l in links_from(store, TermRef(a, "en"))] == [
+            "x#a-b@de", "x#a@fr", "x#a1@fr", "x#a_@fr",
+        ]
+
+    @given(st.sampled_from(["x", "X-1", "d_0"]), st.lists(_ident_text, min_size=1, unique=True))
+    def test_save_portion_lists_terms_in_text_order(self, domain, locals_):
+        ids = [f"{domain}#{local}" for local in locals_]
+        terms = [
+            {"id": tid, "preferred_label": "t", "alt_labels": [], "definition": None,
+             "relations": []}
+            for tid in ids
+        ]
+        doc = {"domain": domain, "language": "en", "version": 1, "terms": terms}
+        saved = json.loads(save_portion(load_portion(json.dumps(doc).encode())))
+        assert [term["id"] for term in saved["terms"]] == sorted(ids)
 
 
 class TestSerializer:

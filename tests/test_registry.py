@@ -11,8 +11,8 @@ from polyfind.descriptor import OperationSig, ServiceDescriptor, tokenize
 from polyfind.errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from polyfind.registry import (
     DEFAULT_FIELD_WEIGHTS,
+    RegistryStore,
     bind,
-    empty_registry,
     find,
     get,
     languages,
@@ -43,11 +43,11 @@ def simple(name="SquareRootService", language="en", doc="", op="compute"):
 
 class TestPublish:
     def test_first_id(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         assert sid == "s-000001"
 
     def test_two_publishes_distinct_and_retrievable(self):
-        store, first = publish(empty_registry(), simple())
+        store, first = publish(RegistryStore(), simple())
         store, second = publish(store, simple(name="Another"))
         assert first != second
         assert get(store, first).name == "SquareRootService"
@@ -55,16 +55,16 @@ class TestPublish:
 
     def test_get_returns_equal_descriptor(self):
         descriptor = simple()
-        store, sid = publish(empty_registry(), descriptor)
+        store, sid = publish(RegistryStore(), descriptor)
         assert get(store, sid) == replace(descriptor, service_id=sid)
 
     def test_published_descriptor_with_id_rejected(self):
         descriptor = replace(simple(), service_id="s-000009")
         with pytest.raises(InvariantViolation):
-            publish(empty_registry(), descriptor)
+            publish(RegistryStore(), descriptor)
 
     def test_publish_does_not_mutate_input_store(self):
-        store = empty_registry()
+        store = RegistryStore()
         publish(store, simple())
         assert store.descriptors == {}
         assert store.last_seq == 0
@@ -72,23 +72,23 @@ class TestPublish:
 
 class TestFind:
     def test_hand_computed_single_doc_score(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         (result,) = find(store, ["square"])
         assert result.service_id == sid
         assert result.score == 3.0 * 1 * math.log(1 + 1 / 1)
         assert result.matched_tokens == (("square", "name"),)
 
     def test_unknown_token_empty(self):
-        store, _ = publish(empty_registry(), simple())
+        store, _ = publish(RegistryStore(), simple())
         assert find(store, ["banana"]) == []
 
     def test_empty_query(self):
-        store, _ = publish(empty_registry(), simple())
+        store, _ = publish(RegistryStore(), simple())
         with pytest.raises(EmptyQuery):
             find(store, ["   ", ""])
 
     def test_tie_broken_by_id(self):
-        store, a = publish(empty_registry(), simple())
+        store, a = publish(RegistryStore(), simple())
         store, b = publish(store, simple())
         results = find(store, ["root"])
         assert [r.service_id for r in results] == sorted([a, b])
@@ -106,7 +106,7 @@ class TestFind:
             assert result.matched_tokens
 
     def test_query_normalized_and_deduplicated(self):
-        store, _ = publish(empty_registry(), simple())
+        store, _ = publish(RegistryStore(), simple())
         assert find(store, ["Square", "SQUARE  "]) == find(store, ["square"])
 
     def test_deterministic(self):
@@ -115,36 +115,36 @@ class TestFind:
         assert all(find(store, ["square", "root"]) == first for _ in range(5))
 
     def test_adding_token_disjoint_descriptor_keeps_match_set(self):
-        store, _ = publish(empty_registry(), simple())
+        store, _ = publish(RegistryStore(), simple())
         before = {r.service_id for r in find(store, ["square"])}
         store, _ = publish(store, simple(name="VectorGraph", op="integrate"))
         after = {r.service_id for r in find(store, ["square"])}
         assert before == after
 
     def test_custom_weights(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         (result,) = find(store, ["square"], weights={"name": 10.0, "operation": 2.0, "documentation": 1.0})
         assert result.score == 10.0 * math.log(2.0)
 
 
 class TestRemove:
     def test_get_after_remove(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         store = remove(store, sid)
         with pytest.raises(UnknownService):
             get(store, sid)
 
     def test_tokens_unmatched_after_remove(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         store = remove(store, sid)
         assert find(store, ["square"]) == []
 
     def test_remove_unknown(self):
         with pytest.raises(UnknownService):
-            remove(empty_registry(), "s-000001")
+            remove(RegistryStore(), "s-000001")
 
     def test_language_counts_shrink(self):
-        store, sid = publish(empty_registry(), simple(language="fr"))
+        store, sid = publish(RegistryStore(), simple(language="fr"))
         assert languages(store) == ["fr"]
         assert languages(remove(store, sid)) == []
 
@@ -166,7 +166,7 @@ def check_write(old, new, descriptor):
 class TestCopyOnWrite:
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**32)), min_size=1, max_size=16))
     def test_publish_remove_sequences(self, steps):
-        store = empty_registry()
+        store = RegistryStore()
         for do_remove, seed in steps:
             before = copy.deepcopy(store)
             if do_remove and store.descriptors:
@@ -181,7 +181,7 @@ class TestCopyOnWrite:
             store = new
 
     def test_remove_drops_a_token_only_its_service_held(self):
-        store, a = publish(empty_registry(), simple(name="Alpha", op="shared"))
+        store, a = publish(RegistryStore(), simple(name="Alpha", op="shared"))
         store, b = publish(store, simple(name="Beta", op="shared"))
         after = remove(store, a)
         assert "alpha" not in after.postings
@@ -193,7 +193,7 @@ class TestCopyOnWrite:
 class TestRebuild:
     def test_rebuild_matches_incremental(self):
         rng = random.Random(7)
-        store = empty_registry()
+        store = RegistryStore()
         for _ in range(8):
             store, _ = publish(store, random_descriptor(rng))
         rebuilt = registry_from_descriptors(store.descriptors.values())
@@ -203,7 +203,7 @@ class TestRebuild:
         assert rebuilt.last_seq == store.last_seq
 
     def test_seq_recovered_from_id_tails(self):
-        store, _ = publish(empty_registry(), simple())
+        store, _ = publish(RegistryStore(), simple())
         store, sid = publish(store, simple(name="B"))
         rebuilt = registry_from_descriptors([get(store, sid)])
         assert rebuilt.last_seq == 2
@@ -226,7 +226,7 @@ class TestOracleEquivalence:
     def test_small_random_registries(self):
         rng = random.Random(123)
         for _ in range(25):
-            store = empty_registry()
+            store = RegistryStore()
             for _ in range(rng.randint(1, 8)):
                 store, _ = publish(store, random_descriptor(rng))
             language = rng.choice([None, "en", "fr", "ar", "de"])
@@ -240,7 +240,7 @@ class TestOracleEquivalence:
 
 class TestBind:
     def test_ticket_carries_endpoint(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         ticket = bind(store, sid, "alice")
         assert ticket.service_id == sid
         assert ticket.endpoint == "https://e/x"
@@ -250,19 +250,19 @@ class TestBind:
 
     def test_unknown_service(self):
         with pytest.raises(UnknownService):
-            bind(empty_registry(), "s-000001", "alice")
+            bind(RegistryStore(), "s-000001", "alice")
 
     def test_empty_requester(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         with pytest.raises(EmptyRequester):
             bind(store, sid, "  ")
 
     def test_two_binds_distinct_tickets(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         assert bind(store, sid, "a").ticket_id != bind(store, sid, "a").ticket_id
 
     def test_injectable_ticket_fields(self):
-        store, sid = publish(empty_registry(), simple())
+        store, sid = publish(RegistryStore(), simple())
         ticket = bind(store, sid, "a", ticket_id="t-x", issued_at="2026-01-01T00:00:00+00:00")
         assert (ticket.ticket_id, ticket.issued_at) == ("t-x", "2026-01-01T00:00:00+00:00")
 

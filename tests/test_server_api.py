@@ -271,11 +271,11 @@ class TestDiscoverAndBind:
 def german_portion(domain="chem"):
     portion = create_portion(domain, "de")
     return add_terms(portion, [
-        Term(TermId(domain, "wurzel"), "wurzel"),
+        Term(TermId(f"{domain}#wurzel"), "wurzel"),
         Term(
-            TermId(domain, "quadratwurzel"),
+            TermId(f"{domain}#quadratwurzel"),
             "quadratwurzel",
-            relations=(Relation("broader", TermId(domain, "wurzel")),),
+            relations=(Relation("broader", TermId(f"{domain}#wurzel")),),
         ),
     ])
 
