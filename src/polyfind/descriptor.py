@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .ontology import TermId
-from .textutil import LANGUAGE_RE, split_words
+from .textutil import LANGUAGE_RE
 
 SIMPLE_TYPES = ("string", "integer", "decimal", "boolean")
 FIELD_NAMES = ("name", "operation", "documentation")
@@ -77,12 +77,6 @@ class ServiceDescriptor:
     def __post_init__(self):
         object.__setattr__(self, "operations", tuple(self.operations))
         object.__setattr__(self, "category_terms", tuple(tuple(c) for c in self.category_terms))
-
-
-@dataclass(frozen=True)
-class FieldToken:
-    token: str
-    field: str  # one of FIELD_NAMES
 
 
 # --- reading the element tree ---
@@ -367,15 +361,6 @@ def field_texts(descriptor: ServiceDescriptor) -> list[tuple[str, str]]:
         *(("operation", op.name) for op in d.operations),
         ("documentation", d.documentation),
         *(("documentation", op.documentation) for op in d.operations),
-    ]
-
-
-def tokenize(descriptor: ServiceDescriptor) -> list[FieldToken]:
-    """Index tokens with their field, in field_texts order."""
-    return [
-        FieldToken(token, field_name)
-        for field_name, text in field_texts(descriptor)
-        for token in split_words(text)
     ]
 
 

@@ -33,10 +33,6 @@ class DuplicateId(PolyfindError):
     http_status = 400
 
 
-class DanglingRelation(PolyfindError):
-    http_status = 400
-
-
 class UnknownTerm(PolyfindError):
     http_status = 404
 

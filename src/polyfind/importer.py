@@ -16,6 +16,7 @@ import urllib.request
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidIdentifier,
     InvariantViolation,
     MalformedDocument,
     PortionNotFound,
@@ -122,7 +123,7 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     """
     try:
         remote = load_portion(fetched.portion_doc)
-    except (InvariantViolation, MalformedDocument, SchemaViolation) as exc:
+    except (InvalidIdentifier, InvariantViolation, MalformedDocument, SchemaViolation) as exc:
         raise ValidationFailed(f"portion document from {fetched.repo!r}: {exc}") from exc
     if remote.domain != fetched.domain or remote.language != fetched.language:
         raise ValidationFailed(

@@ -9,7 +9,6 @@ before any profile runs.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -138,16 +137,6 @@ def detect(
 # --- profile persistence and corpus loading ---
 
 _PROFILE_FIELDS = {"language": str, "ranked_trigrams": list}
-
-
-def profile_to_json(profile: TrigramProfile) -> bytes:
-    """The document profile_from_json reads back.
-
-    Library API: saves a built profile so that a profile directory can hold
-    it in place of its corpus; the server only reads such files.
-    """
-    doc = {"language": profile.language, "ranked_trigrams": list(profile.ranked_trigrams)}
-    return (json.dumps(doc, ensure_ascii=False, indent=2) + "\n").encode()
 
 
 def profile_from_json(data: bytes) -> TrigramProfile:

@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
-    DanglingRelation,
     DuplicateId,
     InvalidIdentifier,
     InvariantViolation,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .textutil import (
     IDENTIFIER_RE,
-    LANGUAGE_RE,
     check_fields,
     check_identifier,
     check_language,
@@ -106,7 +104,7 @@ class Term:
 @dataclass(frozen=True)
 class OntologyPortion:
     """The terms of one (domain, language) pair; the constructor refuses a
-    portion that breaks any structural rule."""
+    portion that breaks any rule: domain, language tag or structure."""
 
     domain: str
     language: str
@@ -114,6 +112,8 @@ class OntologyPortion:
     terms: Mapping[TermId, Term] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_identifier(self.domain, "domain")
+        check_language(self.language)
         violations = validate_portion(self)
         if violations:
             raise InvariantViolation(
@@ -160,7 +160,7 @@ def _patched_index(base: OntologyPortion, changed: list[Term]) -> dict:
 
 def create_portion(domain: str, language: str) -> OntologyPortion:
     """New empty portion at version 1."""
-    return OntologyPortion(check_identifier(domain, "domain"), check_language(language), 1, {})
+    return OntologyPortion(domain, language, 1, {})
 
 
 def add_term(portion: OntologyPortion, term: Term) -> OntologyPortion:
@@ -171,33 +171,26 @@ def add_terms(portion: OntologyPortion, terms: Iterable[Term]) -> OntologyPortio
     """Insert a batch of terms; one version bump for the whole batch.
 
     Relation targets may point at other members of the batch. Inverse
-    broader/narrower edges are materialized on the targets.
+    broader/narrower edges are materialized on the targets; the portion's
+    constructor refuses a term of another domain or a missing target.
     """
     batch = list(terms)
+    if not batch:
+        return portion
     new_terms: dict[TermId, Term] = dict(portion.terms)
     for term in batch:
-        if term.id.domain != portion.domain:
-            raise InvalidIdentifier(
-                f"term {term.id} does not belong to domain {portion.domain!r}"
-            )
         if term.id in new_terms:
             raise DuplicateId(f"term {term.id} already exists")
         new_terms[term.id] = term
     for term in batch:
         for rel in term.relations:
-            if rel.target not in new_terms:
-                raise DanglingRelation(f"{term.id} -> {rel.kind} -> unknown term {rel.target}")
-    for term in batch:
-        for rel in term.relations:
             inv = _INVERSE.get(rel.kind)
-            if inv is None:
+            target = new_terms.get(rel.target)
+            if inv is None or target is None:
                 continue
-            target = new_terms[rel.target]
             back = Relation(inv, term.id)
             if back not in target.relations:
                 new_terms[rel.target] = replace(target, relations=target.relations + (back,))
-    if not batch:
-        return portion
     return replace(portion, version=portion.version + 1, terms=new_terms)
 
 
@@ -400,15 +393,10 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
     holds for the same (domain, language), only saves work: the result, or
     the error, is the one load_portion(data) gives. An entry equal to the
     dict portion_to_dict emits for the base term with its id is input that
-    passed every check, so it reuses that Term; see _rebased for the rest."""
+    passed every check, so it reuses that Term; see _rebased for the rest.
+    The constructor's error for a bad version, domain or language passes through."""
     doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
     domain, language, version = doc["domain"], doc["language"], doc["version"]
-    if version < 1:
-        raise SchemaViolation("$.version", "must be >= 1")
-    if not IDENTIFIER_RE.fullmatch(domain):
-        raise SchemaViolation("$.domain", f"bad domain {domain!r}")
-    if not LANGUAGE_RE.fullmatch(language):
-        raise SchemaViolation("$.language", f"bad language tag {language!r}")
     if base is not None and (base.domain, base.language) != (domain, language):
         base = None
     known = {} if base is None else base.terms
@@ -444,9 +432,10 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
         for j, rel in enumerate(entry["relations"]):
             rpath = f"{path}.relations[{j}]"
             check_fields(rel, rpath, _RELATION_FIELDS, {})
-            if rel["kind"] not in RELATION_KINDS:
-                raise SchemaViolation(f"{rpath}.kind", f"must be one of {RELATION_KINDS}")
-            relations.append(Relation(rel["kind"], term_id(rel["target"], f"{rpath}.target")))
+            try:
+                relations.append(Relation(rel["kind"], term_id(rel["target"], f"{rpath}.target")))
+            except InvariantViolation as exc:
+                raise SchemaViolation(f"{rpath}.kind", exc.detail) from exc
         term = Term(
             tid,
             entry["preferred_label"],
@@ -475,10 +464,10 @@ def _rebased(
     base, and only a changed term can break one for them: its own relations,
     or a back-edge that one of its base broader/narrower neighbours relies
     on. The broader graph differs from the base's, which has no cycle, only
-    if a broader edge changed. A dropped term, which any term may have
-    named, or a violation found here goes to the constructor's full check."""
+    if a broader edge changed. A dropped term, which any term may have named,
+    a version below 1 or a violation found here goes to the full check."""
     kept = len(terms) - len(changed) + sum(term.id in base.terms for term in changed)
-    if kept < len(base.terms):
+    if version < 1 or kept < len(base.terms):
         return OntologyPortion(domain, language, version, terms)
     check = set()
     broader_changed = False
@@ -529,6 +518,8 @@ class AlignmentLink:
     confidence: float
 
     def __post_init__(self):
+        check_language(self.source.lang)
+        check_language(self.target.lang)
         if self.relation not in ALIGNMENT_RELATIONS:
             raise InvariantViolation(f"alignment relation must be one of {ALIGNMENT_RELATIONS}")
         if not isinstance(self.confidence, (int, float)) or not 0.0 < self.confidence <= 1.0:
@@ -655,10 +646,7 @@ def save_alignments(links: Iterable[AlignmentLink]) -> bytes:
 
 def _parse_ref(value: object, path: str) -> TermRef:
     check_fields(value, path, _REF_FIELDS, {})
-    lang = value["lang"]
-    if not LANGUAGE_RE.fullmatch(lang):
-        raise SchemaViolation(f"{path}.lang", f"bad language tag {lang!r}")
-    return TermRef(_parse_term_id(value["term"], f"{path}.term"), lang)
+    return TermRef(_parse_term_id(value["term"], f"{path}.term"), value["lang"])
 
 
 def load_alignments(data: bytes) -> list[AlignmentLink]:
@@ -671,6 +659,6 @@ def load_alignments(data: bytes) -> list[AlignmentLink]:
         target = _parse_ref(entry["target"], f"{path}.target")
         try:
             links.append(AlignmentLink(source, target, entry["relation"], entry["confidence"]))
-        except (InvariantViolation, SameLanguage) as exc:
+        except (InvalidIdentifier, InvariantViolation, SameLanguage) as exc:
             raise SchemaViolation(path, exc.detail) from exc
     return links

@@ -17,8 +17,8 @@ from hypothesis import settings
 from polyfind.descriptor import (
     FIELD_NAMES,
     ServiceDescriptor,
+    field_texts,
     parse_descriptor,
-    tokenize,
 )
 from polyfind.langdetect import build_profiles_from_corpora, packaged_corpora_dir
 from polyfind.mapping import TranslationPath
@@ -34,10 +34,11 @@ from polyfind.ontology import (
     set_portion,
 )
 from polyfind.registry import DEFAULT_FIELD_WEIGHTS, RegistryStore, publish
-from polyfind.textutil import normalize_text
+from polyfind.textutil import normalize_text, split_words
 
-# Tier-1 runs hypothesis with its default settings; CI also runs the
-# ontology, text, descriptor and registry tests with `--hypothesis-profile=ci`.
+# Tier-1 runs hypothesis with its default settings; CI also runs the ontology,
+# text, descriptor, registry and language detection tests with
+# `--hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -278,10 +279,15 @@ def oracle_find(descriptors_by_id, query_tokens, language=None, weights=None):
     return ranked
 
 
+def field_tokens(descriptor: ServiceDescriptor) -> list[tuple[str, str]]:
+    """The descriptor's (field, token) pairs, in field_texts order."""
+    return [(name, token) for name, text in field_texts(descriptor) for token in split_words(text)]
+
+
 def _count_fields(descriptor: ServiceDescriptor) -> dict[str, Counter]:
     counts: dict[str, Counter] = {}
-    for ft in tokenize(descriptor):
-        counts.setdefault(ft.token, Counter())[ft.field] += 1
+    for field_name, token in field_tokens(descriptor):
+        counts.setdefault(token, Counter())[field_name] += 1
     return counts
 
 

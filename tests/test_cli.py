@@ -125,6 +125,10 @@ class TestOntoEditor:
             "onto", "add-term", target, "--id", "geo#a", "--label", "a",
             "--relation", "sideways:geo#b",
         ]) == 1
+        assert "InvariantViolation: unknown relation kind 'sideways'" in capsys.readouterr().err
+        assert main([
+            "onto", "add-term", target, "--id", "geo#a", "--label", "a", "--relation", "geo#b",
+        ]) == 1
         assert "must look like kind:domain#local" in capsys.readouterr().err
 
     def test_validate_reports_cycle(self, tmp_path, capsys):

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from polyfind import descriptor as descriptor_module
 from polyfind.descriptor import (
     SIMPLE_TYPES,
-    FieldToken,
     OperationSig,
     ServiceDescriptor,
     descriptor_to_dict,
     parse_descriptor,
     serialize_descriptor,
-    tokenize,
 )
 from polyfind.errors import (
     InvalidLanguageTag,
@@ -27,7 +25,7 @@ from polyfind.errors import (
 )
 from polyfind.ontology import TermId
 
-from conftest import DESCRIPTOR_FILES
+from conftest import DESCRIPTOR_FILES, field_tokens
 
 EN_FIXTURE = DESCRIPTOR_FILES[1]
 
@@ -369,16 +367,16 @@ class TestSerialize:
 
 class TestTokenize:
     def test_camel_case_name(self):
-        tokens = tokenize(minimal(name="SquareRootService"))
-        assert [t.token for t in tokens if t.field == "name"] == ["square", "root", "service"]
+        tokens = field_tokens(minimal(name="SquareRootService"))
+        assert [t for f, t in tokens if f == "name"] == ["square", "root", "service"]
 
     def test_operation_tokens(self):
-        tokens = tokenize(minimal(operations=(OperationSig("sqrt", "", (), "string"),)))
-        assert [t.token for t in tokens if t.field == "operation"] == ["sqrt"]
+        tokens = field_tokens(minimal(operations=(OperationSig("sqrt", "", (), "string"),)))
+        assert [t for f, t in tokens if f == "operation"] == ["sqrt"]
 
     def test_documentation_tokens(self):
-        tokens = tokenize(minimal(documentation="finds the square root."))
-        docs = [t.token for t in tokens if t.field == "documentation"]
+        tokens = field_tokens(minimal(documentation="finds the square root."))
+        docs = [t for f, t in tokens if f == "documentation"]
         assert docs == ["finds", "the", "square", "root"]
 
     def test_operation_docs_count_as_documentation(self):
@@ -386,13 +384,13 @@ class TestTokenize:
             documentation="",
             operations=(OperationSig("op", "square root helper", (), "string"),),
         )
-        docs = [t.token for t in tokenize(descriptor) if t.field == "documentation"]
+        docs = [t for f, t in field_tokens(descriptor) if f == "documentation"]
         assert docs == ["square", "root", "helper"]
 
     def test_duplicates_kept(self):
-        tokens = tokenize(minimal(documentation="root root root"))
-        assert [t for t in tokens if t == FieldToken("root", "documentation")] != []
-        assert sum(1 for t in tokens if t.token == "root") == 3
+        tokens = field_tokens(minimal(documentation="root root root"))
+        assert [pair for pair in tokens if pair == ("documentation", "root")] != []
+        assert sum(1 for _, t in tokens if t == "root") == 3
 
 
 # --- generated round trips ---
@@ -466,7 +464,8 @@ class TestProperties:
 
     @given(descriptors())
     def test_tokenize_invariant_under_reserialization(self, descriptor):
-        assert tokenize(parse_descriptor(serialize_descriptor(descriptor))) == tokenize(descriptor)
+        reread = parse_descriptor(serialize_descriptor(descriptor))
+        assert field_tokens(reread) == field_tokens(descriptor)
 
     @given(any_descriptors())
     def test_serializer_refuses_or_reads_back_equal(self, descriptor):

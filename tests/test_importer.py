@@ -13,6 +13,7 @@ from polyfind.errors import (
     ValidationFailed,
 )
 from polyfind.importer import (
+    FetchedPortion,
     RemoteRepoRef,
     fetch_portion_docs,
     merge_portion,
@@ -124,6 +125,14 @@ class TestImport:
             with pytest.raises(ValidationFailed):
                 import_portion(repo, "math", "fr", store)
         assert store == empty_store()
+
+    @pytest.mark.parametrize("key, value", [("domain", "ma th"), ("language", "FR")])
+    def test_bad_domain_or_language_fails_validation(self, key, value):
+        doc = json.loads((REPO_ROOT / "portions" / "math.fr.json").read_text())
+        doc[key] = value
+        fetched = FetchedPortion("tmp", "math", "fr", json.dumps(doc).encode(), None)
+        with pytest.raises(ValidationFailed, match=key):
+            merge_portion(empty_store(), fetched)
 
     def test_identity_mismatch(self, tmp_path):
         root = copy_repo(tmp_path)

@@ -23,12 +23,18 @@ from polyfind.langdetect import (
     out_of_place_distance,
     packaged_corpora_dir,
     profile_from_json,
-    profile_to_json,
     rank_trigrams,
     trigram_counts,
 )
 
 from conftest import HELDOUT_DIR
+
+
+def profile_document(profile: TrigramProfile) -> bytes:
+    """A <lang>.json profile document, as load_profiles reads it."""
+    return json.dumps(
+        {"language": profile.language, "ranked_trigrams": list(profile.ranked_trigrams)}
+    ).encode()
 
 
 class TestTrigramCounts:
@@ -168,7 +174,7 @@ class TestSelfIdentification:
 class TestProfilePersistence:
     def test_round_trip(self, profiles):
         for profile in profiles:
-            assert profile_from_json(profile_to_json(profile)) == profile
+            assert profile_from_json(profile_document(profile)) == profile
 
     def test_duplicate_trigram_rejected(self):
         doc = {"language": "en", "ranked_trigrams": ["aaa", "aaa"]}
@@ -197,13 +203,13 @@ class TestCorpusLoading:
     def test_mixed_txt_and_json(self, tmp_path):
         (tmp_path / "en.txt").write_text("the cat sat on the mat and slept " * 5, "utf-8")
         profile = build_profile("le chien dort dans la cuisine " * 5, "fr")
-        (tmp_path / "fr.json").write_bytes(profile_to_json(profile))
+        (tmp_path / "fr.json").write_bytes(profile_document(profile))
         loaded = load_profiles(tmp_path)
         assert sorted(p.language for p in loaded) == ["en", "fr"]
 
     def test_duplicate_language_rejected(self, tmp_path):
         (tmp_path / "en.txt").write_text("the cat sat on the mat and slept " * 5, "utf-8")
         profile = build_profile("the dog sat on the log and slept " * 5, "en")
-        (tmp_path / "en.json").write_bytes(profile_to_json(profile))
+        (tmp_path / "en.json").write_bytes(profile_document(profile))
         with pytest.raises(SchemaViolation):
             load_profiles(tmp_path)

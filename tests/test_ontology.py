@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyfind.errors import (
-    DanglingRelation,
     DuplicateId,
     InvalidIdentifier,
+    InvalidLanguageTag,
     InvariantViolation,
     MalformedDocument,
     PolyfindError,
@@ -82,6 +82,13 @@ class TestCreatePortion:
         with pytest.raises(InvalidIdentifier):
             create_portion("", "en")
 
+    def test_replace_checks_domain_and_language(self):
+        portion = small_portion()
+        with pytest.raises(InvalidIdentifier):
+            replace(portion, domain="a b")
+        with pytest.raises(InvalidLanguageTag):
+            replace(portion, language="EN")
+
 
 class TestAddTerm:
     def test_single_insert_bumps_version(self):
@@ -95,14 +102,14 @@ class TestAddTerm:
             add_term(portion, Term(SQ, "y"))
 
     def test_dangling_relation(self):
-        with pytest.raises(DanglingRelation):
+        with pytest.raises(InvariantViolation, match="dangling-relation"):
             add_term(
                 create_portion("math", "ar"),
                 Term(SQ, "x", relations=(Relation("broader", OP),)),
             )
 
     def test_wrong_domain(self):
-        with pytest.raises(InvalidIdentifier):
+        with pytest.raises(InvariantViolation, match="term-domain"):
             add_term(create_portion("math", "ar"), Term(TermId("sports#x"), "x"))
 
     def test_batch_is_one_version_bump(self):
@@ -382,9 +389,8 @@ class TestPersistence:
     def test_version_zero(self):
         doc = json.loads(save_portion(small_portion()))
         doc["version"] = 0
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(InvariantViolation, match="version 0 must be >= 1"):
             load_portion(json.dumps(doc).encode())
-        assert err.value.path == "$.version"
 
     def test_unknown_field_rejected(self):
         doc = json.loads(save_portion(small_portion()))
@@ -422,30 +428,42 @@ class TestPersistence:
         assert load(compact) == load(indented)
         assert save(load(indented)) == compact
 
-    @pytest.mark.parametrize("mutate, path", [
-        (lambda doc: doc.update(domain="ma th"), "$.domain"),
-        (lambda doc: doc.update(language="english"), "$.language"),
-        (lambda doc: doc["terms"][1].update(id=doc["terms"][0]["id"]), "$.terms[1].id"),
+    # A bad domain or language tag is the portion constructor's own error,
+    # which has no path; every other refusal here names its path.
+    @pytest.mark.parametrize("mutate, error, path", [
+        (lambda doc: doc.update(domain="ma th"), InvalidIdentifier, None),
+        (lambda doc: doc.update(language="english"), InvalidLanguageTag, None),
+        (
+            lambda doc: doc["terms"][1].update(id=doc["terms"][0]["id"]),
+            SchemaViolation, "$.terms[1].id",
+        ),
         # terms[0] (math#operation) names math#square_root as a narrower
         # target; terms[1] then defines it, which is no duplicate, and
         # terms[2] defines it again.
-        (lambda doc: doc["terms"][1].update(id="math#square_root"), "$.terms[2].id"),
-        (lambda doc: doc["terms"][0].update(alt_labels=[3]), "$.terms[0].alt_labels[0]"),
+        (
+            lambda doc: doc["terms"][1].update(id="math#square_root"),
+            SchemaViolation, "$.terms[2].id",
+        ),
+        (
+            lambda doc: doc["terms"][0].update(alt_labels=[3]),
+            SchemaViolation, "$.terms[0].alt_labels[0]",
+        ),
         (
             lambda doc: doc["terms"][0]["relations"][0].update(kind="sideways"),
-            "$.terms[0].relations[0].kind",
+            SchemaViolation, "$.terms[0].relations[0].kind",
         ),
     ], ids=[
         "bad-domain", "bad-language", "duplicate-id", "duplicate-of-a-target",
         "non-string-alt-label", "bad-relation-kind",
     ])
-    def test_schema_violation_names_its_path(self, mutate, path):
+    def test_schema_violation_names_its_path(self, mutate, error, path):
         doc = json.loads(save_portion(small_portion()))
         assert doc["terms"][0]["relations"][0] == {"kind": "narrower", "target": str(SQ)}
         mutate(doc)
-        with pytest.raises(SchemaViolation) as err:
+        with pytest.raises(error) as err:
             load_portion(json.dumps(doc).encode())
-        assert err.value.path == path
+        assert err.type is error
+        assert getattr(err.value, "path", None) == path
 
     def test_relation_targets_are_the_term_keys(self):
         for portion in [small_portion(), *map(load_portion, map(Path.read_bytes, PORTION_FILES))]:
@@ -773,6 +791,17 @@ class TestLoadOverBase:
         with pytest.raises(InvariantViolation) as full:
             load_portion(body)
         assert fast.value.detail == full.value.detail
+
+    def test_version_zero_refuses_as_a_full_load_does(self):
+        base = small_portion()
+        body = self.edited(base, lambda doc: doc.update(version=0))  # every term kept
+        with pytest.raises(InvariantViolation) as fast:
+            load_portion(body, base=base)
+        with pytest.raises(InvariantViolation) as full:
+            load_portion(body)
+        assert fast.value.detail == full.value.detail == (
+            "portion is structurally invalid: version[]: version 0 must be >= 1"
+        )
 
     def test_base_of_another_pair_is_ignored(self):
         en = small_portion("en")

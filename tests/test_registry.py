@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyfind.descriptor import OperationSig, ServiceDescriptor, tokenize
+from polyfind.descriptor import OperationSig, ServiceDescriptor
 from polyfind.errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from polyfind.registry import (
     DEFAULT_FIELD_WEIGHTS,
@@ -23,6 +23,7 @@ from polyfind.registry import (
 
 from conftest import (
     build_fixture_registry,
+    field_tokens,
     load_fixture_descriptors,
     oracle_find,
     random_descriptor,
@@ -155,7 +156,7 @@ def check_write(old, new, descriptor):
     rebuilt = registry_from_descriptors(new.descriptors.values())
     assert new.postings == rebuilt.postings
     assert new.doc_count_by_lang == rebuilt.doc_count_by_lang
-    touched = {ft.token for ft in tokenize(descriptor)}
+    touched = {token for _, token in field_tokens(descriptor)}
     for token, by_sid in old.postings.items():
         if token not in touched:
             assert new.postings[token] is by_sid

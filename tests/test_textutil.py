@@ -15,7 +15,14 @@ from polyfind.errors import (
     PolyfindError,
 )
 from polyfind.langdetect import profile_from_json
-from polyfind.ontology import load_alignments, load_portion
+from polyfind.ontology import (
+    AlignmentLink,
+    TermId,
+    TermRef,
+    create_portion,
+    load_alignments,
+    load_portion,
+)
 from polyfind.textutil import (
     check_identifier,
     check_language,
@@ -234,6 +241,7 @@ LANGUAGE_TAG_ENTRY_POINTS = {
     "check_language": check_language,
     "descriptor xml:lang": lambda tag: parse_descriptor(_descriptor(xml_lang=tag)),
     "descriptor category lang": lambda tag: parse_descriptor(_descriptor(category_lang=tag)),
+    "create_portion": lambda tag: create_portion("math", tag),
     "portion $.language": lambda tag: load_portion(
         _json({"domain": "math", "language": tag, "version": 1, "terms": []})
     ),
@@ -243,6 +251,9 @@ LANGUAGE_TAG_ENTRY_POINTS = {
         "relation": "exact",
         "confidence": 1.0,
     }]})),
+    "AlignmentLink": lambda tag: AlignmentLink(
+        TermRef(TermId("math#root"), tag), TermRef(TermId("math#root"), "zz"), "exact", 1.0
+    ),
     "profile_from_json": lambda tag: profile_from_json(
         _json({"language": tag, "ranked_trigrams": []})
     ),
