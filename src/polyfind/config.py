@@ -12,7 +12,7 @@ from urllib.parse import urlsplit
 from .errors import ConfigError, MalformedDocument, SchemaViolation
 from .importer import RemoteRepoRef
 from .registry import DEFAULT_FIELD_WEIGHTS
-from .textutil import check_fields, load_json
+from .textutil import DIGITS_RE, check_fields, load_json
 
 DATA_DIR_ENV = "MOS_DATA_DIR"
 
@@ -59,11 +59,10 @@ def _parse_listen(value: str) -> tuple[str, int]:
     if ":" not in value:
         raise ConfigError(f"listen must be 'host:port', got {value!r}")
     host, _, port_text = value.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigError(f"listen port {port_text!r} is not an integer") from None
-    if not 0 <= port <= 65535:
+    if not DIGITS_RE.fullmatch(port_text):
+        raise ConfigError(f"listen port {port_text!r} is not an integer")
+    port = int(port_text)
+    if port > 65535:
         raise ConfigError(f"listen port {port} out of range")
     return host or "127.0.0.1", port
 

@@ -7,7 +7,7 @@ Disk layout under data_dir:
     alignments/<domain>.json      one file per canonical (smaller) domain
     services/<id>.xml
     bindings.log                  append-only JSON lines
-    seq                           last assigned service sequence number
+    seq                           not below any service sequence number assigned
 
 Every write lands in a temporary file in the same directory followed by an
 atomic rename, so a kill at any instant leaves either the old or the new
@@ -143,15 +143,19 @@ def load_snapshot(data_dir: Path) -> Snapshot:
             _services_dir(data_dir), _SERVICE_FILE_RE, "service", parse_descriptor
         )
     ]
-    seq_path = data_dir / "seq"
-    seq = 0
-    if seq_path.exists():
-        text = seq_path.read_text("utf-8").strip()
-        if not DIGITS_RE.fullmatch(text):
-            raise StartupError(f"corrupt seq file {seq_path}: {text!r}")
-        seq = int(text)
-    registry_store = reg.registry_from_descriptors(descriptors, last_seq=seq)
+    seq = _read_seq(data_dir / "seq")
+    registry_store = reg.registry_from_descriptors(descriptors, last_seq=seq or 0)
     return Snapshot(store, registry_store)
+
+
+def _read_seq(seq_path: Path) -> int | None:
+    """The number in the seq file, or None if there is no such file."""
+    if not seq_path.exists():
+        return None
+    text = seq_path.read_bytes().decode("utf-8", "replace").strip()
+    if not DIGITS_RE.fullmatch(text):
+        raise StartupError(f"corrupt seq file {seq_path}: {text!r}")
+    return int(text)
 
 
 class AppState:
@@ -169,11 +173,16 @@ class AppState:
         self._snapshot = load_snapshot(self.data_dir)
         self._lock = threading.Lock()
         self._imports_in_flight: dict[tuple[str, str], threading.Event] = {}
-        # Probe writability early so a read-only volume fails at startup.
+        # Catch seq up when it is missing, or behind the ids on disk after a
+        # kill between a publish's two writes; otherwise a removed service's
+        # id is handed out again after the next restart. Writing a missing
+        # seq also makes a read-only volume fail at startup.
         seq_path = self.data_dir / "seq"
-        if not seq_path.exists():
+        last_seq = self._snapshot.registry.last_seq
+        seq = _read_seq(seq_path)
+        if seq is None or seq < last_seq:
             try:
-                atomic_write_bytes(seq_path, b"0\n")
+                atomic_write_bytes(seq_path, f"{last_seq}\n".encode())
             except OSError as exc:
                 raise StartupError(f"data_dir {self.data_dir} is not writable: {exc}") from exc
 

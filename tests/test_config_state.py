@@ -113,6 +113,11 @@ class TestLoadConfig:
         {"remote_repos": [{"name": "a", "base_url": "http://h/\x7f"}]},
         {"remote_repos": [{"name": "a", "base_url": "http://h/é"}]},
         {"remote_repos": [{"name": "a", "base_url": "http://é.example/"}]},
+        {"listen": "h:8_0"},
+        {"listen": "h:+80"},
+        {"listen": "h: 80"},
+        {"listen": "h:\uff18\uff10"},
+        {"listen": "h:\u0668\u0660"},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):
@@ -229,6 +234,7 @@ class TestLoadSnapshot:
             "any number", "any\ufffe number"), "corrupt service", id="service-with-U+FFFE"),
         ("seq", "ten", "corrupt seq"),
         ("seq", "²", "corrupt seq"),
+        pytest.param("seq", b"\xff\n", "corrupt seq", id="seq-not-utf-8"),
         ("services/s-٠٠٠٠٠٩.xml", "hi", "unexpected file"),
         ("alignments/math.json", "{", "corrupt alignment"),
         ("alignments/readme.txt", "hi", "unexpected file"),
@@ -246,7 +252,10 @@ class TestLoadSnapshot:
         root = self.seeded_dir(tmp_path)
         target = root / relative
         target.parent.mkdir(exist_ok=True)
-        target.write_text(content, "utf-8")
+        if isinstance(content, bytes):
+            target.write_bytes(content)
+        else:
+            target.write_text(content, "utf-8")
         with pytest.raises(StartupError, match=fragment) as err:
             load_snapshot(root)
         assert relative.rsplit("/", 1)[-1] in str(err.value)
@@ -320,6 +329,33 @@ class TestAppState:
         after = find(reborn.snapshot().registry, ["square", "root"])
         assert before == after
         assert reborn.publish_descriptor(DESCRIPTOR_FILES[1].read_bytes()) == "s-000004"
+
+    @pytest.mark.parametrize("damage", ["stale", "deleted"])
+    def test_removed_id_not_reissued_after_seq_damage(self, tmp_path, damage):
+        # A kill between a publish's service file write and its seq write
+        # leaves seq behind the ids on disk.
+        state = make_state(tmp_path)
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        seq_path = tmp_path / "data" / "seq"
+        if damage == "stale":
+            seq_path.write_text("2\n", "utf-8")
+        else:
+            seq_path.unlink()
+        make_state(tmp_path).remove_service("s-000003")
+        assert seq_path.read_text("utf-8") == "3\n"
+        reborn = make_state(tmp_path)
+        assert reborn.publish_descriptor(DESCRIPTOR_FILES[1].read_bytes()) == "s-000004"
+
+    @pytest.mark.parametrize("text", ["3", "0003", "41\n"])
+    def test_seq_not_behind_is_left_as_it_is(self, tmp_path, text):
+        state = make_state(tmp_path)
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        seq_path = tmp_path / "data" / "seq"
+        seq_path.write_text(text, "utf-8")
+        make_state(tmp_path)
+        assert seq_path.read_text("utf-8") == text
 
     def test_remove_service_deletes_file(self, tmp_path):
         state = make_state(tmp_path)

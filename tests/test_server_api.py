@@ -26,6 +26,16 @@ from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, PORTION_FILES, run_in_thr
 
 AR_TEXT = "الجذر التربيعي"
 
+# GET /services/s-000002 of the en fixture, byte for byte: service_id first.
+GOLDEN_EN_SERVICE = (
+    b'{"service_id": "s-000002", "name": "SquareRootService", "language": "en",'
+    b' "provider": "Acme Math", "endpoint": "https://math.example.com/sqrt",'
+    b' "documentation": "Finds the square root of any number.",'
+    b' "categories": [{"term": "math#square_root", "lang": "en"}],'
+    b' "operations": [{"name": "sqrt", "documentation": "Returns the square root of x.",'
+    b' "inputs": [{"name": "x", "type": "decimal"}], "output": "decimal"}]}'
+)
+
 # Every route that reads a request body goes through the same size and
 # Content-Length checks.
 BODY_ROUTES = pytest.mark.parametrize("method, path", [
@@ -127,6 +137,15 @@ class TestServices:
         assert doc["language"] == "en"
         assert doc["endpoint"] == "https://math.example.com/sqrt"
         assert doc["operations"]
+
+    def test_get_service_bytes_are_pinned(self, api, tmp_path):
+        assert exchange(api, "GET", "/services/s-000002") == (200, GOLDEN_EN_SERVICE)
+        config = ServerConfig(host="127.0.0.1", port=0, data_dir=tmp_path / "data")
+        with serving(config) as address:
+            for path in DESCRIPTOR_FILES:
+                request(address, "POST", "/services", path.read_bytes())
+        with serving(config) as address:  # the same data directory, restarted
+            assert exchange(address, "GET", "/services/s-000002") == (200, GOLDEN_EN_SERVICE)
 
     def test_non_ascii_payload_survives(self, api):
         status, doc = request(api, "GET", "/services/s-000001")
