@@ -5,7 +5,7 @@ when the first pass comes back empty."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import registry as reg
@@ -16,7 +16,7 @@ from .errors import (
     NoProfiles,
     PortionUnavailable,
 )
-from .importer import ImportReport, report_to_dict
+from .importer import ImportReport
 from .langdetect import DetectionResult, TrigramProfile, detect
 from .mapping import TranslationPath, expand_terms, match_keywords, path_to_dict, translate
 from .ontology import OntologyStore, TermId, TermRef, resolve
@@ -135,13 +135,7 @@ def _search_pass(
                     provenance.add(ProvenanceEntry(src.origin, src.path, fname))
                     if src.term is not None:
                         contributing.add(src.term)
-            labels = sorted(
-                {
-                    portion_terms[term].preferred_label
-                    for term in contributing
-                    if term in portion_terms
-                }
-            )
+            labels = sorted({portion_terms[term].preferred_label for term in contributing})
             entries.append(ResultEntry(
                 service_id=match.service_id,
                 name=registry_store.descriptors[match.service_id].name,
@@ -187,10 +181,7 @@ def discover(
         )
 
     matches, raw_keywords = match_keywords(words, portion)
-    terms: list[TermId] = []
-    for m in matches:
-        if m.term not in terms:
-            terms.append(m.term)
+    terms = list(dict.fromkeys(m.term for m in matches))
 
     results = _search_pass(
         raw_keywords, terms, language, portion.terms, ontology, registry_store, weights
@@ -207,11 +198,7 @@ def discover(
 
 def response_to_dict(response: DiscoveryResponse) -> dict:
     return {
-        "detected": {
-            "language": response.detected.language,
-            "confidence": response.detected.confidence,
-            "method": response.detected.method,
-        },
+        "detected": asdict(response.detected),
         "results": [
             {
                 "service_id": entry.service_id,
@@ -231,5 +218,5 @@ def response_to_dict(response: DiscoveryResponse) -> dict:
             for entry in response.results
         ],
         "used_expansion": response.used_expansion,
-        "imports_triggered": [report_to_dict(r) for r in response.imports_triggered],
+        "imports_triggered": [asdict(r) for r in response.imports_triggered],
     }

@@ -22,7 +22,6 @@ from .config import ServerConfig
 from .descriptor import descriptor_to_dict
 from .discovery import Query, response_to_dict
 from .errors import MalformedDocument, PolyfindError, PortionNotFound, SchemaViolation
-from .importer import report_to_dict
 from .ontology import load_portion, save_portion
 from .registry import get as registry_get
 from .state import AppState
@@ -193,7 +192,7 @@ class ApiHandler(BaseHTTPRequestHandler):
         report = self.app.import_portion(
             body["repo"], body["domain"], body["language"], wait=False
         )
-        self._send_json(200, report_to_dict(report))
+        self._send_json(200, asdict(report))
 
 
 class ApiServer(HTTPServer):

@@ -164,14 +164,3 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     # Links may reference portions we do not hold; those are skipped, not errors.
     return add_alignment(merged, *(l for l in links if resolves(merged, l))), report(outcome)
 
-
-def report_to_dict(report: ImportReport) -> dict:
-    return {
-        "repo": report.repo,
-        "domain": report.domain,
-        "language": report.language,
-        "outcome": report.outcome,
-        "version_before": report.version_before,
-        "version_after": report.version_after,
-        "detail": report.detail,
-    }

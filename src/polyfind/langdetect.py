@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusTooSmall, EmptyInput, NoProfiles, SchemaViolation
@@ -33,6 +34,11 @@ SCRIPT_EXCLUSIVE: dict[str, tuple[tuple[int, int], ...]] = {
 class TrigramProfile:
     language: str
     ranked_trigrams: tuple[str, ...]
+
+    @cached_property
+    def ranks(self) -> dict[str, int]:
+        """Each trigram's 1-based rank; built on first use."""
+        return {t: i + 1 for i, t in enumerate(self.ranked_trigrams)}
 
 
 @dataclass(frozen=True)
@@ -76,10 +82,9 @@ def out_of_place_distance(text_ranked: list[str], profile: TrigramProfile) -> in
 
     Ranks are 1-based; a trigram absent from the profile costs ABSENT_PENALTY.
     """
-    profile_rank = {t: i + 1 for i, t in enumerate(profile.ranked_trigrams)}
     total = 0
     for i, tri in enumerate(text_ranked):
-        rank = profile_rank.get(tri)
+        rank = profile.ranks.get(tri)
         total += ABSENT_PENALTY if rank is None else abs((i + 1) - rank)
     return total
 

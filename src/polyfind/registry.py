@@ -15,6 +15,7 @@ FIELD_NAMES order) so scores are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+import re
 import uuid
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -22,11 +23,14 @@ from typing import Iterable, Mapping
 
 from .descriptor import FIELD_NAMES, ServiceDescriptor, field_texts
 from .errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
-from .textutil import DIGITS_RE, normalize_text, split_words
+from .textutil import normalize_text, split_words
 
 DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
 FIELD_RANK = {name: i for i, name in enumerate(FIELD_NAMES)}
+
+# A service id is "s-" and its sequence number, zero-padded to six digits.
+SERVICE_ID_RE = re.compile(r"s-([0-9]{6,})")
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,15 @@ def registry_from_descriptors(
         for token, per_field in _field_counts(d).items():
             postings.setdefault(token, {})[d.service_id] = per_field
         langs[d.language] = langs.get(d.language, 0) + 1
-        tail = d.service_id.rsplit("-", 1)[-1]
-        if DIGITS_RE.fullmatch(tail):
-            last_seq = max(last_seq, int(tail))
+        numbered = SERVICE_ID_RE.fullmatch(d.service_id)
+        if numbered:
+            last_seq = max(last_seq, int(numbered[1]))
     return RegistryStore(descriptors, postings, langs, last_seq)
 
 
 def languages(store: RegistryStore) -> list[str]:
     """Languages with at least one registered service, sorted."""
-    return sorted(lang for lang, count in store.doc_count_by_lang.items() if count > 0)
+    return sorted(store.doc_count_by_lang)
 
 
 def find(
@@ -159,37 +163,33 @@ def find(
     if not distinct:
         raise EmptyQuery("no usable query tokens")
     total = len(store.descriptors)
-    candidates: set[str] = set()
-    idf: dict[str, float] = {}
+    # Term at a time: each token's postings are read once, and each service's
+    # score sums from 0.0 in token order, then FIELD_NAMES order.
+    found: dict[str, tuple[float, list[tuple[str, str]]]] = {}
     for token in distinct:
         by_sid = store.postings.get(token)
         if not by_sid:
             continue
-        idf[token] = math.log(1.0 + total / len(by_sid))
-        for sid in by_sid:
-            if language is None or store.descriptors[sid].language == language:
-                candidates.add(sid)
-    results = []
-    for sid in sorted(candidates):
-        score = 0.0
-        matched: list[tuple[str, str]] = []
-        for token in distinct:
-            per_field = store.postings.get(token, {}).get(sid)
-            if not per_field:
+        idf = math.log(1.0 + total / len(by_sid))
+        for sid, per_field in by_sid.items():
+            if language is not None and store.descriptors[sid].language != language:
                 continue
+            score, matched = found.get(sid, (0.0, []))
             for fname in FIELD_NAMES:
                 tf = per_field.get(fname)
                 if tf:
-                    score += weights[fname] * tf * idf[token]
+                    score += weights[fname] * tf * idf
                     matched.append((token, fname))
-        results.append(
-            MatchResult(
-                service_id=sid,
-                score=score,
-                matched_tokens=tuple(matched),
-                language=store.descriptors[sid].language,
-            )
+            found[sid] = (score, matched)
+    results = [
+        MatchResult(
+            service_id=sid,
+            score=score,
+            matched_tokens=tuple(matched),
+            language=store.descriptors[sid].language,
         )
+        for sid, (score, matched) in found.items()
+    ]
     results.sort(key=lambda r: (-r.score, r.service_id))
     return results
 

@@ -44,7 +44,7 @@ from .textutil import DIGITS_RE, IDENTIFIER_RE, LANGUAGE_RE
 
 log = logging.getLogger(__name__)
 
-_SERVICE_FILE_RE = re.compile(r"(s-[0-9]{6,})\.xml\Z")
+_SERVICE_FILE_RE = re.compile(rf"({reg.SERVICE_ID_RE.pattern})\.xml\Z")
 _PORTION_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.({LANGUAGE_RE.pattern})\.json\Z")
 _ALIGNMENT_FILE_RE = re.compile(rf"({IDENTIFIER_RE.pattern})\.json\Z")
 

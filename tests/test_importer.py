@@ -17,7 +17,6 @@ from polyfind.importer import (
     RemoteRepoRef,
     fetch_portion_docs,
     merge_portion,
-    report_to_dict,
 )
 from polyfind.ontology import TermId, TermRef, empty_store, iter_links, resolve
 
@@ -202,17 +201,3 @@ class TestImport:
             store, report = merge_portion(empty_store(), fetched)
         assert report.outcome == "imported"
         assert iter_links(store) == []
-
-    def test_report_to_dict(self, repo_server):
-        repo = RemoteRepoRef("fixture", repo_server)
-        _, report = import_portion(repo, "math", "fr", empty_store())
-        doc = report_to_dict(report)
-        assert doc == {
-            "repo": "fixture",
-            "domain": "math",
-            "language": "fr",
-            "outcome": "imported",
-            "version_before": None,
-            "version_after": 2,
-            "detail": "",
-        }

@@ -11,6 +11,7 @@ from polyfind.descriptor import OperationSig, ServiceDescriptor
 from polyfind.errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from polyfind.registry import (
     DEFAULT_FIELD_WEIGHTS,
+    FIELD_RANK,
     RegistryStore,
     bind,
     find,
@@ -122,6 +123,28 @@ class TestFind:
         after = {r.service_id for r in find(store, ["square"])}
         assert before == after
 
+    def test_each_token_postings_read_once(self):
+        class CountingPostings(dict):
+            gets = 0
+
+            def get(self, *args):
+                self.gets += 1
+                return super().get(*args)
+
+        store, _ = build_fixture_registry()
+        postings = CountingPostings(store.postings)
+        assert find(replace(store, postings=postings), ["square", "root", "xyz"])
+        assert postings.gets == 3
+
+    def test_matched_tokens_in_token_then_field_order(self):
+        store, _ = build_fixture_registry()
+        results = find(store, ["square", "root"])
+        assert any(len({t for t, _ in r.matched_tokens}) == 2 for r in results)
+        for result in results:
+            assert list(result.matched_tokens) == sorted(
+                result.matched_tokens, key=lambda m: (m[0], FIELD_RANK[m[1]])
+            )
+
     def test_custom_weights(self):
         store, sid = publish(RegistryStore(), simple())
         (result,) = find(store, ["square"], weights={"name": 10.0, "operation": 2.0, "documentation": 1.0})
@@ -212,8 +235,8 @@ class TestRebuild:
         assert new_sid == "s-000003"
 
     @pytest.mark.parametrize("service_id, last_seq", [
-        ("s-²", 1), ("s-٣", 1), ("s-000042", 42),
-    ], ids=["superscript", "arabic-indic", "ascii"])
+        ("s-²", 1), ("s-٣", 1), ("s-000042", 42), ("s-42", 1), ("x-000042", 1),
+    ], ids=["superscript", "arabic-indic", "ascii", "unpadded", "other-prefix"])
     def test_only_ascii_digit_tails_raise_seq(self, service_id, last_seq):
         published = replace(simple(), service_id=service_id)
         assert registry_from_descriptors([published], last_seq=1).last_seq == last_seq

@@ -36,6 +36,55 @@ GOLDEN_EN_SERVICE = (
     b' "inputs": [{"name": "x", "type": "decimal"}], "output": "decimal"}]}'
 )
 
+# POST /discover of the Arabic case-study query over the fixture services,
+# byte for byte: scores print as repr floats, so any change in the order of
+# summation shows.
+GOLDEN_AR_DISCOVER = (
+    '{"detected": {"language": "ar", "confidence": 1.0, "method": "script"},'
+    ' "results": [{"service_id": "s-000002", "name": "SquareRootService", "language": "en",'
+    ' "score": 16.635532333438686, "provenance": [{"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "en"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "en"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "name"}, {"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "en"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "en"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "operation"}, {"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "en"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "en"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "documentation"}],'
+    ' "requester_language_labels": ["الجذر التربيعي"]}, {"service_id": "s-000001",'
+    ' "name": "خدمة الجذر التربيعي", "language": "ar", "score": 13.862943611198904,'
+    ' "provenance": [{"source": "math#square_root", "path": null, "field": "name"},'
+    ' {"source": "math#square_root", "path": null, "field": "documentation"}],'
+    ' "requester_language_labels": ["الجذر التربيعي"]}, {"service_id": "s-000003",'
+    ' "name": "ServiceRacineCarree", "language": "fr", "score": 12.476649250079015,'
+    ' "provenance": [{"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "fr"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "fr"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "name"}, {"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "fr"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "fr"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "operation"}, {"source": "math#square_root",'
+    ' "path": {"source": {"term": "math#square_root", "lang": "ar"},'
+    ' "target": {"term": "math#square_root", "lang": "fr"}, "confidence": 1.0,'
+    ' "hops": [{"target": {"term": "math#square_root", "lang": "fr"}, "relation": "exact",'
+    ' "confidence": 1.0}]}, "field": "documentation"}],'
+    ' "requester_language_labels": ["الجذر التربيعي"]}], "used_expansion": false,'
+    ' "imports_triggered": []}'
+).encode()
+
+# POST /ontology/import of math/en from the fixture repository into an empty
+# data directory: keys in ImportReport's field order.
+GOLDEN_IMPORT = (
+    '{"repo": "fixture", "domain": "math", "language": "en", "outcome": "imported",'
+    ' "version_before": null, "version_after": 2, "detail": ""}'
+).encode()
+
 # Every route that reads a request body goes through the same size and
 # Content-Length checks.
 BODY_ROUTES = pytest.mark.parametrize("method, path", [
@@ -146,6 +195,24 @@ class TestServices:
                 request(address, "POST", "/services", path.read_bytes())
         with serving(config) as address:  # the same data directory, restarted
             assert exchange(address, "GET", "/services/s-000002") == (200, GOLDEN_EN_SERVICE)
+
+    def test_discover_bytes_are_pinned(self, tmp_path):
+        with serving(fixture_config(tmp_path)) as address:
+            for path in DESCRIPTOR_FILES:
+                request(address, "POST", "/services", path.read_bytes())
+            assert exchange(address, "POST", "/discover", {
+                "text": AR_TEXT, "domain": "math", "requester_id": "alice",
+            }) == (200, GOLDEN_AR_DISCOVER)
+
+    def test_import_bytes_are_pinned(self, tmp_path, repo_server):
+        config = ServerConfig(
+            host="127.0.0.1", port=0, data_dir=tmp_path / "data",
+            remote_repos=(RemoteRepoRef("fixture", repo_server),),
+        )
+        with serving(config) as address:
+            assert exchange(address, "POST", "/ontology/import", {
+                "repo": "fixture", "domain": "math", "language": "en",
+            }) == (200, GOLDEN_IMPORT)
 
     def test_non_ascii_payload_survives(self, api):
         status, doc = request(api, "GET", "/services/s-000001")
