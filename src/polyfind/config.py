@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, MalformedDocument, SchemaViolation
 from .importer import RemoteRepoRef
-from .registry import DEFAULT_FIELD_WEIGHTS
 from .textutil import DIGITS_RE, check_fields, load_json
 
 DATA_DIR_ENV = "MOS_DATA_DIR"
@@ -22,8 +21,6 @@ _CONFIG_FIELDS = {
     "data_dir": str,
     "profile_dir": (str, type(None)),
     "remote_repos": list,
-    "expansion_depth": int,
-    "field_weights": dict,
     "network_timeout": (int, float),
 }
 _REPO_FIELDS = {"name": str, "base_url": str}
@@ -36,10 +33,6 @@ class ServerConfig:
     data_dir: Path = Path("data")
     profile_dir: Path | None = None  # None: use the packaged corpora
     remote_repos: tuple[RemoteRepoRef, ...] = ()
-    expansion_depth: int = 1
-    field_weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_FIELD_WEIGHTS)
-    )
     network_timeout: float = 10.0
 
 
@@ -48,8 +41,6 @@ def _read_document(raw: Path) -> dict:
         doc = check_fields(load_json(raw.read_bytes()), "$", {}, _CONFIG_FIELDS)
         for i, entry in enumerate(doc.get("remote_repos", [])):
             check_fields(entry, f"$.remote_repos[{i}]", _REPO_FIELDS, {})
-        weights = dict.fromkeys(DEFAULT_FIELD_WEIGHTS, (int, float))
-        check_fields(doc.get("field_weights", {}), "$.field_weights", {}, weights)
     except (MalformedDocument, SchemaViolation) as exc:
         raise ConfigError(f"config file {raw}: {exc}") from exc
     return doc
@@ -113,16 +104,6 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
         seen_names.add(entry["name"])
         repos.append(RemoteRepoRef(entry["name"], _check_base_url(entry["base_url"], i)))
 
-    depth = doc.get("expansion_depth", 1)
-    if depth < 1:
-        raise ConfigError(f"expansion_depth must be an integer >= 1, got {depth!r}")
-
-    weights = dict(DEFAULT_FIELD_WEIGHTS)
-    for key, value in doc.get("field_weights", {}).items():
-        if value <= 0:
-            raise ConfigError(f"field weight {key!r} must be a positive number")
-        weights[key] = float(value)
-
     timeout = doc.get("network_timeout", 10.0)
     if timeout <= 0:
         raise ConfigError(f"network_timeout must be a positive number, got {timeout!r}")
@@ -133,7 +114,5 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
         data_dir=data_dir,
         profile_dir=profile_dir,
         remote_repos=tuple(repos),
-        expansion_depth=depth,
-        field_weights=weights,
         network_timeout=float(timeout),
     )

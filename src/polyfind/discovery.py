@@ -1,7 +1,7 @@
 """The discovery pipeline: detect, map keywords to terms, translate term
 labels into every registered language, search, scale by translation
-confidence, merge. An expansion round over related/broader terms runs only
-when the first pass comes back empty."""
+confidence, merge. An expansion round that adds the terms one related/broader
+hop away runs only when the first pass comes back empty."""
 
 from __future__ import annotations
 
@@ -116,7 +116,6 @@ def _search_pass(
     portion_terms: Mapping,
     ontology: OntologyStore,
     registry_store: RegistryStore,
-    weights: Mapping[str, float] | None,
 ) -> list[ResultEntry]:
     # Each service has one language, so it is found in at most one pass.
     entries: list[ResultEntry] = []
@@ -124,7 +123,7 @@ def _search_pass(
         sources = _token_sources(raw_keywords, terms, query_lang, target_lang, ontology)
         if not sources:
             continue
-        matches = reg.find(registry_store, sorted(sources), language=target_lang, weights=weights)
+        matches = reg.find(registry_store, sorted(sources), language=target_lang)
         for match in matches:
             factor = 0.0
             provenance: set[ProvenanceEntry] = set()
@@ -153,8 +152,6 @@ def discover(
     registry_store: RegistryStore,
     profiles: Iterable[TrigramProfile] = (),
     *,
-    expansion_depth: int = 1,
-    weights: Mapping[str, float] | None = None,
     import_missing: ImportHook | None = None,
 ) -> DiscoveryResponse:
     """Run the full pipeline for one query against store snapshots."""
@@ -184,14 +181,14 @@ def discover(
     terms = list(dict.fromkeys(m.term for m in matches))
 
     results = _search_pass(
-        raw_keywords, terms, language, portion.terms, ontology, registry_store, weights
+        raw_keywords, terms, language, portion.terms, ontology, registry_store
     )
     used_expansion = False
     if not results and terms:
         used_expansion = True
-        widened = terms + expand_terms(terms, portion, expansion_depth)
+        widened = terms + expand_terms(terms, portion)
         results = _search_pass(
-            raw_keywords, widened, language, portion.terms, ontology, registry_store, weights
+            raw_keywords, widened, language, portion.terms, ontology, registry_store
         )
     return DiscoveryResponse(detected, tuple(results), used_expansion, imports)
 

@@ -123,36 +123,16 @@ def translate(ref: TermRef, target_lang: str, store: OntologyStore) -> list[Tran
     return sorted(pivots, key=_path_sort_key)
 
 
-def expand_terms(
-    terms: list[TermId], portion: OntologyPortion, depth: int = 1
-) -> list[TermId]:
-    """Terms reachable from the inputs within `depth` related/broader hops.
-
-    The inputs themselves are excluded. Output is ordered by (hop distance,
-    term id).
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    roots = []
+def expand_terms(terms: list[TermId], portion: OntologyPortion) -> list[TermId]:
+    """Terms one related/broader hop from the inputs, inputs excluded, in id order."""
+    found: set[TermId] = set()
     for tid in terms:
         if tid not in portion.terms:
             raise UnknownTerm(f"no term {tid} in {portion.domain}.{portion.language}")
-        roots.append(tid)
-    distance: dict[TermId, int] = {tid: 0 for tid in roots}
-    frontier = list(roots)
-    for hop in range(1, depth + 1):
-        next_frontier: list[TermId] = []
-        for tid in frontier:
-            for rel in portion.terms[tid].relations:
-                if rel.kind == "narrower":
-                    continue
-                if rel.target not in distance:
-                    distance[rel.target] = hop
-                    next_frontier.append(rel.target)
-        frontier = next_frontier
-    found = [tid for tid in distance if distance[tid] > 0]
-    found.sort(key=lambda tid: (distance[tid], tid))
-    return found
+        for rel in portion.terms[tid].relations:
+            if rel.kind != "narrower":
+                found.add(rel.target)
+    return sorted(found - set(terms))
 
 
 def path_to_dict(path: TranslationPath) -> dict:

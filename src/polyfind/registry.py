@@ -5,7 +5,7 @@ shares every postings entry the descriptor does not touch. Scoring
 is field-weighted tf-idf:
 
     score(d) = sum over matched tokens t, fields f of
-               weight(f) * tf(t, d, f) * ln(1 + N / df(t))
+               FIELD_WEIGHTS[f] * tf(t, d, f) * ln(1 + N / df(t))
 
 with N the registry size and df the number of descriptors containing t in
 any field. Summation order is fixed (tokens in codepoint order, fields in
@@ -25,7 +25,7 @@ from .descriptor import FIELD_NAMES, ServiceDescriptor, field_texts
 from .errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from .textutil import normalize_text, split_words
 
-DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
+FIELD_WEIGHTS: Mapping[str, float] = {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
 FIELD_RANK = {name: i for i, name in enumerate(FIELD_NAMES)}
 
@@ -149,7 +149,6 @@ def find(
     store: RegistryStore,
     tokens: Iterable[str],
     language: str | None = None,
-    weights: Mapping[str, float] | None = None,
 ) -> list[MatchResult]:
     """Rank descriptors sharing at least one token with the query.
 
@@ -157,8 +156,7 @@ def find(
     (token, field rank). Query tokens are normalized and deduplicated;
     a query with nothing left after normalization is an error.
     """
-    if weights is None:
-        weights = DEFAULT_FIELD_WEIGHTS
+    weights = FIELD_WEIGHTS  # a local name keeps the inner loop's lookup cheap
     distinct = sorted({t for t in (normalize_text(tok) for tok in tokens) if t})
     if not distinct:
         raise EmptyQuery("no usable query tokens")

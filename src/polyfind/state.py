@@ -6,7 +6,6 @@ Disk layout under data_dir:
     portions/<domain>.<lang>.json
     alignments/<domain>.json      one file per canonical (smaller) domain
     services/<id>.xml
-    bindings.log                  append-only JSON lines
     seq                           not below any service sequence number assigned
 
 Every write lands in a temporary file in the same directory followed by an
@@ -17,13 +16,12 @@ mutations flow through one lock, persist first, then swap the snapshot.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import importer as imp
@@ -251,15 +249,7 @@ class AppState:
             self._commit_portion(onto.set_portion(self._snapshot.ontology, portion), portion)
 
     def bind_service(self, service_id: str, requester_id: str) -> BindingTicket:
-        with self._lock:
-            ticket = reg.bind(self._snapshot.registry, service_id, requester_id)
-            line = json.dumps(asdict(ticket), ensure_ascii=False)
-            journal = self.data_dir / "bindings.log"
-            with open(journal, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        return ticket
+        return reg.bind(self._snapshot.registry, service_id, requester_id)
 
     def find_repo(self, name: str) -> imp.RemoteRepoRef:
         for repo in self.config.remote_repos:
@@ -327,7 +317,5 @@ class AppState:
             snap.ontology,
             snap.registry,
             self.profiles,
-            expansion_depth=self.config.expansion_depth,
-            weights=self.config.field_weights,
             import_missing=self._import_for_discovery,
         )

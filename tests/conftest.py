@@ -33,7 +33,7 @@ from polyfind.ontology import (
     load_portion,
     set_portion,
 )
-from polyfind.registry import DEFAULT_FIELD_WEIGHTS, RegistryStore, publish
+from polyfind.registry import FIELD_WEIGHTS, RegistryStore, publish
 from polyfind.textutil import normalize_text, split_words
 
 # Tier-1 runs hypothesis with its default settings; CI also runs the ontology,
@@ -238,15 +238,13 @@ def random_query(rng) -> list[str]:
 # --- oracle: brute-force field-weighted tf-idf, no inverted index ---
 
 
-def oracle_find(descriptors_by_id, query_tokens, language=None, weights=None):
+def oracle_find(descriptors_by_id, query_tokens, language=None):
     """Rank services for a query by rescoring every descriptor from scratch.
 
     Returns [(service_id, score)] sorted by (score desc, id asc). Summation
     follows the documented order (tokens sorted, then field order) so scores
     are bit-identical to a correct index-based implementation.
     """
-    if weights is None:
-        weights = DEFAULT_FIELD_WEIGHTS
     distinct = sorted({t for t in (normalize_text(tok) for tok in query_tokens) if t})
     counts = {
         sid: _count_fields(descriptor) for sid, descriptor in descriptors_by_id.items()
@@ -272,7 +270,7 @@ def oracle_find(descriptors_by_id, query_tokens, language=None, weights=None):
             for fname in FIELD_NAMES:
                 tf = per_field.get(fname, 0)
                 if tf:
-                    score += weights[fname] * tf * idf
+                    score += FIELD_WEIGHTS[fname] * tf * idf
         if hit:
             ranked.append((sid, score))
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import threading
 from collections.abc import Mapping
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from polyfind.config import DATA_DIR_ENV, ServerConfig, load_config
+from polyfind.config import _CONFIG_FIELDS, DATA_DIR_ENV, ServerConfig, load_config
 from polyfind.descriptor import parse_descriptor
 from polyfind.errors import (
     ConfigError,
@@ -30,7 +32,7 @@ from polyfind.ontology import (
     iter_links,
     load_portion,
 )
-from polyfind.registry import DEFAULT_FIELD_WEIGHTS, find
+from polyfind.registry import find
 from polyfind.state import AppState, atomic_write_bytes, load_snapshot
 
 from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, PORTION_FILES
@@ -47,7 +49,6 @@ class TestLoadConfig:
         cfg = load_config(None, env={})
         assert cfg == ServerConfig()
         assert (cfg.host, cfg.port) == ("127.0.0.1", 8080)
-        assert cfg.field_weights == dict(DEFAULT_FIELD_WEIGHTS)
 
     def test_full_file(self, tmp_path):
         path = write_config(tmp_path, {
@@ -55,8 +56,6 @@ class TestLoadConfig:
             "data_dir": "/var/lib/polyfind",
             "profile_dir": "profiles",
             "remote_repos": [{"name": "main", "base_url": "http://repo.example"}],
-            "expansion_depth": 2,
-            "field_weights": {"name": 5},
             "network_timeout": 2.5,
         })
         cfg = load_config(path, env={})
@@ -64,8 +63,6 @@ class TestLoadConfig:
         assert str(cfg.data_dir) == "/var/lib/polyfind"
         assert str(cfg.profile_dir) == "profiles"
         assert cfg.remote_repos == (RemoteRepoRef("main", "http://repo.example"),)
-        assert cfg.expansion_depth == 2
-        assert cfg.field_weights == {"name": 5.0, "operation": 2.0, "documentation": 1.0}
         assert cfg.network_timeout == 2.5
 
     def test_listen_host_defaults_when_blank(self, tmp_path):
@@ -118,10 +115,20 @@ class TestLoadConfig:
         {"listen": "h: 80"},
         {"listen": "h:\uff18\uff10"},
         {"listen": "h:\u0668\u0660"},
+        # Config keys of earlier versions, with the values README gave them.
+        {"expansion_depth": 1},
+        {"field_weights": {"name": 3, "operation": 2, "documentation": 1}},
     ])
     def test_rejected_documents(self, tmp_path, doc):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc), env={})
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        m = re.search(r"A single JSON file.*?```json\n(.*?)```", readme, re.DOTALL)
+        doc = json.loads(m.group(1))
+        load_config(write_config(tmp_path, doc), env={})
+        assert doc.keys() == _CONFIG_FIELDS.keys()
 
     def test_punycode_host_accepted(self, tmp_path):
         path = write_config(tmp_path, {"remote_repos": [
@@ -367,18 +374,23 @@ class TestAppState:
         with pytest.raises(UnknownService):
             state.remove_service(sid)
 
-    def test_bind_journal_lines(self, tmp_path):
+    def test_bind_writes_nothing(self, tmp_path):
         state = make_state(tmp_path)
         sid = state.publish_descriptor(DESCRIPTOR_FILES[1].read_bytes())
+        data = tmp_path / "data"
+
+        def files():
+            return {
+                str(path.relative_to(data)): path.read_bytes()
+                for path in sorted(data.rglob("*")) if path.is_file()
+            }
+
+        before = files()
         t1 = state.bind_service(sid, "alice")
         t2 = state.bind_service(sid, "bob")
-        lines = (tmp_path / "data" / "bindings.log").read_text("utf-8").splitlines()
-        docs = [json.loads(line) for line in lines]
-        assert [d["requester_id"] for d in docs] == ["alice", "bob"]
-        assert docs[0]["ticket_id"] == t1.ticket_id != t2.ticket_id
-        assert set(docs[0]) == {
-            "ticket_id", "service_id", "requester_id", "endpoint", "issued_at",
-        }
+        assert (t1.requester_id, t2.requester_id) == ("alice", "bob")
+        assert t1.ticket_id != t2.ticket_id
+        assert files() == before
 
     def test_find_repo(self, tmp_path):
         repo = RemoteRepoRef("main", "http://127.0.0.1:1")

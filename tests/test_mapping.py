@@ -236,10 +236,6 @@ class TestExpandTerms:
         # operation's only edges are materialized narrower back-edges.
         assert expand_terms([OP], en_portion) == []
 
-    def test_depth_zero_rejected(self, en_portion):
-        with pytest.raises(ValueError):
-            expand_terms([SQ], en_portion, depth=0)
-
     def test_unknown_term(self, en_portion):
         with pytest.raises(UnknownTerm):
             expand_terms([TermId("math#nope")], en_portion)
@@ -257,10 +253,9 @@ class TestExpandTerms:
                 Term(a, "a", relations=(Relation("related", b),)),
             ],
         )
-        assert expand_terms([a], portion, depth=1) == [b]
-        assert expand_terms([a], portion, depth=2) == [b, c]
+        assert expand_terms([a], portion) == [b]
 
     def test_inputs_never_returned(self, en_portion):
-        out = expand_terms([SQ, OP, RF], en_portion, depth=3)
+        out = expand_terms([SQ, OP, RF], en_portion)
         assert not ({SQ, OP, RF} & set(out))
         assert set(out) <= set(en_portion.terms)

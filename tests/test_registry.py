@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from polyfind.descriptor import OperationSig, ServiceDescriptor
 from polyfind.errors import EmptyQuery, EmptyRequester, InvariantViolation, UnknownService
 from polyfind.registry import (
-    DEFAULT_FIELD_WEIGHTS,
     FIELD_RANK,
+    FIELD_WEIGHTS,
     RegistryStore,
     bind,
     find,
@@ -144,11 +144,6 @@ class TestFind:
             assert list(result.matched_tokens) == sorted(
                 result.matched_tokens, key=lambda m: (m[0], FIELD_RANK[m[1]])
             )
-
-    def test_custom_weights(self):
-        store, sid = publish(RegistryStore(), simple())
-        (result,) = find(store, ["square"], weights={"name": 10.0, "operation": 2.0, "documentation": 1.0})
-        assert result.score == 10.0 * math.log(2.0)
 
 
 class TestRemove:
@@ -298,7 +293,7 @@ class TestFixtureRegistry:
         assert languages(store) == ["ar", "en", "fr"]
 
     def test_weights_default(self):
-        assert DEFAULT_FIELD_WEIGHTS == {"name": 3.0, "operation": 2.0, "documentation": 1.0}
+        assert FIELD_WEIGHTS == {"name": 3.0, "operation": 2.0, "documentation": 1.0}
 
     def test_fixture_descriptors_have_expected_languages(self):
         assert [d.language for d in load_fixture_descriptors()] == ["ar", "en", "fr"]
