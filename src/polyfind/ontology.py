@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -24,6 +25,7 @@ from .errors import (
 )
 from .textutil import (
     IDENTIFIER_RE,
+    SURROGATE_ESCAPE_RE,
     check_fields,
     check_identifier,
     check_language,
@@ -94,11 +96,11 @@ class Term:
         return (self.preferred_label, *self.alt_labels)
 
     @cached_property
-    def canonical_json(self) -> bytes:
-        """The term as save_portion writes it, UTF-8; built on first use.
-        A portion loaded over a base keeps the base's Term objects, and so
-        their encodings, for every term it does not change."""
-        return json.dumps(_term_to_dict(self), ensure_ascii=False).encode()
+    def canonical_text(self) -> str:
+        """The term as save_portion writes it; built on first use. A portion
+        loaded over a base keeps the base's Term objects, and so their
+        encodings, for every term it does not change."""
+        return json.dumps(_term_to_dict(self), ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -350,18 +352,24 @@ def portion_to_dict(portion: OntologyPortion) -> dict:
     }
 
 
+def _portion_head(domain: str, language: str) -> str:
+    """What save_portion writes before the version. Both names are checked
+    identifiers, which JSON writes as they are."""
+    return f'{{"domain": "{domain}", "language": "{language}", "version": '
+
+
+_TERMS_OPEN = ', "terms": ['  # what save_portion writes after the version
+
+
 def save_portion(portion: OntologyPortion) -> bytes:
     """Compact canonical serialization: terms sorted by id, stable key order;
     the loader reads any layout. The bytes are those of
     json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n": the
     compact encoder joins list members with ", ", so the terms' own
     encodings are joined the same way and only terms without one are encoded."""
-    head = json.dumps(
-        {"domain": portion.domain, "language": portion.language, "version": portion.version},
-        ensure_ascii=False,
-    )
-    terms = b", ".join(portion.terms[tid].canonical_json for tid in sorted(portion.terms))
-    return b'%s, "terms": [%s]}\n' % (head[:-1].encode(), terms)
+    head = _portion_head(portion.domain, portion.language)
+    terms = ", ".join(portion.terms[tid].canonical_text for tid in sorted(portion.terms))
+    return f"{head}{portion.version}{_TERMS_OPEN}{terms}]}}\n".encode()
 
 
 # Document shapes; every key is required.
@@ -386,19 +394,76 @@ def _parse_term_id(value: str, path: str) -> TermId:
         raise SchemaViolation(path, str(exc)) from exc
 
 
+_VERSION_RE = re.compile(r"[1-9][0-9]*")
+
+
+def _scan_terms(data: bytes, base: OntologyPortion) -> tuple[int, list] | None:
+    """The version and term entries of a body laid out as save_portion lays
+    out a portion of base's domain and language, or None for any other body.
+
+    Each entry is the base Term whose canonical text the body repeats at its
+    place, or else the element json decodes there. The base is walked in id
+    order, so a body that changes a few terms decodes only those; a decoded
+    element holding a base id moves the walk past that term. A body that is
+    not UTF-8 or JSON, or holds a surrogate escape, gives None: load_json
+    decides it."""
+    try:
+        text = data.decode("utf-8")
+        head = _portion_head(base.domain, base.language)
+        version = _VERSION_RE.match(text, len(head)) if text.startswith(head) else None
+        if (
+            version is None
+            or not text.startswith(_TERMS_OPEN, version.end())
+            or SURROGATE_ESCAPE_RE.search(text)
+        ):
+            return None
+        pos = version.end() + len(_TERMS_OPEN)
+        order = sorted(base.terms)
+        k = 0
+        decode = json.JSONDecoder().raw_decode
+        entries: list = []
+        more = not text.startswith("]", pos)
+        while more:
+            old = base.terms[order[k]] if k < len(order) else None
+            if old is not None and text.startswith(old.canonical_text, pos):
+                entry, pos, k = old, pos + len(old.canonical_text), k + 1
+            else:
+                entry, pos = decode(text, pos)
+                tid = entry.get("id") if isinstance(entry, dict) else None
+                if isinstance(tid, str) and tid in base.terms:
+                    k = bisect_right(order, tid)
+            entries.append(entry)
+            more = text.startswith(", ", pos)
+            pos += 2 if more else 0
+        if not text.startswith("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
+            return None
+        return int(version[0]), entries
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
+        return None
+
+
 def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPortion:
     """Parse and schema-check a portion document. Unknown fields are errors.
 
     `base`, an earlier result of this function such as the portion a server
     holds for the same (domain, language), only saves work: the result, or
-    the error, is the one load_portion(data) gives. An entry equal to the
-    dict portion_to_dict emits for the base term with its id is input that
-    passed every check, so it reuses that Term; see _rebased for the rest.
-    The constructor's error for a bad version, domain or language passes through."""
-    doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
-    domain, language, version = doc["domain"], doc["language"], doc["version"]
-    if base is not None and (base.domain, base.language) != (domain, language):
-        base = None
+    the error, is the one load_portion(data) gives. A body laid out as
+    save_portion writes it is decoded only where it differs from the base's
+    terms (_scan_terms); any other body is decoded whole. An entry equal to
+    the dict portion_to_dict emits for the base term with its id is input
+    that passed every check, so it reuses that Term; see _rebased for the
+    rest. The constructor's error for a bad version, domain or language
+    passes through."""
+    scanned = None if base is None else _scan_terms(data, base)
+    if scanned is None:
+        doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
+        domain, language, version = doc["domain"], doc["language"], doc["version"]
+        entries = doc["terms"]
+        if base is not None and (base.domain, base.language) != (domain, language):
+            base = None
+    else:
+        domain, language = base.domain, base.language
+        version, entries = scanned
     known = {} if base is None else base.terms
     terms: dict[TermId, Term] = {}
     changed: list[Term] = []  # the terms not reused from base
@@ -411,10 +476,15 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
             tid = ids[text] = _parse_term_id(text, path)
         return tid
 
-    for i, entry in enumerate(doc["terms"]):
-        text = entry.get("id") if known and isinstance(entry, dict) else None
-        old = known.get(text) if isinstance(text, str) else None
-        if old is not None and entry == _term_to_dict(old):
+    for i, entry in enumerate(entries):
+        if isinstance(entry, Term):
+            old = entry
+        else:
+            text = entry.get("id") if known and isinstance(entry, dict) else None
+            old = known.get(text) if isinstance(text, str) else None
+            if old is not None and entry != _term_to_dict(old):
+                old = None
+        if old is not None:
             size = len(terms)
             terms[old.id] = old
             if len(terms) == size:
@@ -485,13 +555,18 @@ def _rebased(
         _check_term(domain, terms, tid, out)
     if out or (broader_changed and _broader_sccs(terms)):
         return OntologyPortion(domain, language, version, terms)
-    portion = object.__new__(OntologyPortion)  # checked above; skips __post_init__
-    for name, value in (
-        ("domain", domain), ("language", language), ("version", version), ("terms", terms),
-        ("label_index", _patched_index(base, changed)),  # the cached_property's slot
-    ):
-        object.__setattr__(portion, name, value)
-    return portion
+    return _checked(
+        OntologyPortion, domain=domain, language=language, version=version, terms=terms,
+        label_index=_patched_index(base, changed),  # the cached_property's slot
+    )
+
+
+def _checked(cls: type, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, built
+    without running __post_init__: the caller has checked them."""
+    instance = object.__new__(cls)
+    vars(instance).update(fields)
+    return instance
 
 
 # --- cross-language alignment ---
@@ -529,7 +604,11 @@ class AlignmentLink:
         object.__setattr__(self, "confidence", float(self.confidence))
 
     def reversed(self) -> "AlignmentLink":
-        return AlignmentLink(self.target, self.source, self.relation, self.confidence)
+        """The link from target to source; this link passed every check."""
+        return _checked(
+            AlignmentLink, source=self.target, target=self.source, relation=self.relation,
+            confidence=self.confidence,
+        )
 
 
 @dataclass(frozen=True)

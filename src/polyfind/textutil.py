@@ -32,7 +32,7 @@ DIGITS_RE = re.compile(r"[0-9]+")
 
 # Only a \uD800-\uDFFF escape can put a surrogate in a decoded string: the
 # UTF-8 decoder refuses encoded ones, and json joins each escaped pair.
-_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 # The kinds check_fields accepts, each an isinstance() argument, and their
@@ -113,7 +113,10 @@ def split_words(text: str) -> list[str]:
         if piece.isascii() and piece.lower() == piece:
             tokens.append(piece)
             continue
-        for part in _camel_parts(piece):
+        # Only an uppercase character starts a camelCase part. lower() is no
+        # test for one: U+1D400 is uppercase and has no lowercase mapping.
+        parts = _camel_parts(piece) if any(map(str.isupper, piece)) else (piece,)
+        for part in parts:
             norm = normalize_text(part)
             if norm:
                 tokens.append(norm)
@@ -148,7 +151,7 @@ def load_json(data: bytes) -> object:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedDocument("not valid JSON: nested too deeply") from None
-    if _SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(doc):
+    if SURROGATE_ESCAPE_RE.search(text) and _holds_surrogate(doc):
         raise MalformedDocument("not valid JSON: a string holds a lone surrogate escape")
     return doc
 

@@ -4,6 +4,7 @@ import re
 import threading
 from collections.abc import Mapping
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -695,35 +696,38 @@ class TestPutCost:
 
     @staticmethod
     def one_edit(state):
-        """The held en portion with one alt label more, loaded over it as
-        the server loads a put."""
+        """The held en portion with one alt label more, laid out as GET
+        /portions sends it and loaded over it as the server loads a put."""
         held = state.snapshot().ontology.portions[("math", "en")]
         doc = onto.portion_to_dict(held)
         doc["terms"][0]["alt_labels"].append("radix")
         doc["version"] += 1
-        return load_portion(json.dumps(doc).encode(), base=held)
+        return load_portion(json.dumps(doc, ensure_ascii=False).encode(), base=held)
 
     @staticmethod
     def count_encodings(monkeypatch):
+        """The ids of the terms whose canonical text is built, in order."""
         encoded = []
-        to_dict = onto._term_to_dict
-        monkeypatch.setattr(
-            onto, "_term_to_dict", lambda term: encoded.append(term.id) or to_dict(term)
-        )
+        build = Term.canonical_text.func
+        counted = cached_property(lambda term: encoded.append(term.id) or build(term))
+        counted.__set_name__(Term, "canonical_text")
+        monkeypatch.setattr(Term, "canonical_text", counted)
         return encoded
 
     def test_a_one_edit_put_encodes_one_term(self, tmp_path, monkeypatch):
         fixture_data_dir(tmp_path)
         state = make_state(tmp_path)
+        encoded = self.count_encodings(monkeypatch)
         first = self.one_edit(state)
-        encoded = self.count_encodings(monkeypatch)
-        state.put_portion(first)  # start-up encoded nothing, so every term
-        assert sorted(encoded, key=str) == sorted(first.terms, key=str)
-        monkeypatch.undo()
+        state.put_portion(first)
+        # Start-up encoded nothing: the load encodes each held term, in id
+        # order, to match the body against, and the put the edited term.
+        edited = sorted(first.terms, key=str)[0]
+        assert encoded == [*sorted(first.terms, key=str), edited]
+        encoded.clear()
         second = self.one_edit(state)
-        encoded = self.count_encodings(monkeypatch)
         state.put_portion(second)
-        assert encoded == [sorted(second.terms, key=str)[0]]
+        assert encoded == [edited]
         monkeypatch.undo()
         stored = (tmp_path / "data" / "portions" / "math.en.json").read_bytes()
         reference = json.dumps(onto.portion_to_dict(second), ensure_ascii=False) + "\n"

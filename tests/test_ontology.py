@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -730,11 +731,73 @@ def edited_bodies(draw):
     return base, json.dumps(doc, ensure_ascii=False).encode()
 
 
+def _nth_replaced(text, old, new, n):
+    """`text` with occurrence n, modulo their count, of `old` replaced."""
+    parts = text.split(old)
+    if len(parts) == 1:
+        return text
+    n %= len(parts) - 1
+    return old.join(parts[: n + 1]) + new + old.join(parts[n + 1 :])
+
+
+def _canonical(doc):
+    return json.dumps(doc, ensure_ascii=False)
+
+
+def _version(text):
+    return lambda doc, n: re.sub(r'"version": -?\d+', f'"version": {text}', _canonical(doc), 1)
+
+
+# Other layouts of a document, each a function of the document and a number
+# that picks which occurrence of a text to change. Escapes, whitespace and
+# key order leave the document as it was; the other changes break it.
+_LAYOUTS = {
+    "ensure-ascii": lambda doc, n: json.dumps(doc),
+    "indent": lambda doc, n: json.dumps(doc, ensure_ascii=False, indent=2),
+    "compact": lambda doc, n: json.dumps(doc, ensure_ascii=False, separators=(",", ":")),
+    "head-reordered": lambda doc, n: _canonical(dict(sorted(doc.items(), reverse=True))),
+    "leading-space": lambda doc, n: " " + _canonical(doc),
+    "trailing-space": lambda doc, n: _canonical(doc) + " \t\r\n",
+    "bom": lambda doc, n: "\ufeff" + _canonical(doc),
+    "trailing-bytes": lambda doc, n: _canonical(doc) + ["}", "x", " 1", "]}"][n % 4],
+    "unclosed": lambda doc, n: _canonical(doc)[:-1],
+    "duplicate-terms": lambda doc, n: _canonical(doc)[:-1] + ', "terms": []}',
+    "escaped-key": lambda doc, n: _nth_replaced(
+        _canonical(doc), '"preferred_label"', '"preferred_l\\u0061bel"', n
+    ),
+    "escaped-hash": lambda doc, n: _nth_replaced(_canonical(doc), "#", "\\u0023", n),
+    "lone-surrogate": lambda doc, n: _nth_replaced(
+        _canonical(doc), '"preferred_label": "', '"preferred_label": "\\ud800', n
+    ),
+    "deep": lambda doc, n: _nth_replaced(
+        _canonical(doc), '"definition": ', '"definition": ' + "[" * 100_000 + "]" * 100_000
+        + ', "definition": ', n
+    ),
+    "version-1.0": _version("1.0"),
+    "version-01": _version("01"),
+    "version--1": _version("-1"),
+    "version-0": _version("0"),
+}
+
+
+@st.composite
+def relaid_bodies(draw):
+    """(base, body): an edited body of edited_bodies() in another layout,
+    or as bytes that are not UTF-8."""
+    base, body = draw(edited_bodies())
+    doc = json.loads(body)
+    layout = draw(st.sampled_from([*_LAYOUTS, "not-utf-8"]))
+    if layout == "not-utf-8":
+        at = draw(st.integers(0, len(body)))
+        return base, body[:at] + b"\xc3" + body[at:]
+    return base, _LAYOUTS[layout](doc, draw(st.integers(0, 9))).encode()
+
+
 class TestLoadOverBase:
     """load_portion(body, base=...) reuses the base's unchanged terms and
     patches its label index; load_portion(body) is the definition."""
 
-    @given(edited_bodies())
+    @given(edited_bodies() | relaid_bodies())
     def test_equals_a_full_load(self, case):
         base, body = case
         index = base.label_index  # built, as for every portion a server holds
@@ -772,6 +835,18 @@ class TestLoadOverBase:
         assert "label_index" in vars(portion)
         assert lookup_label_kinds(portion, "radix") == [(changed[0], "alt")]
         assert (portion, portion.label_index) == load_outcome(lambda: load_portion(body))
+
+    def test_a_one_edit_body_compares_only_the_edited_term(self, monkeypatch):
+        base = load_portion(PORTION_FILES[1].read_bytes())
+        body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("Radix"))
+        save_portion(base)  # the base's encodings exist, as after a GET or a put
+        compared = []
+        to_dict = ontology._term_to_dict
+        monkeypatch.setattr(
+            ontology, "_term_to_dict", lambda term: compared.append(term.id) or to_dict(term)
+        )
+        load_portion(body, base=base)
+        assert compared == [sorted(base.terms, key=str)[0]]
 
     def test_a_dropped_term_takes_the_full_check(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())
@@ -940,6 +1015,22 @@ class TestAlignments:
         replaced = set_portion(store, add_label(small_portion("en"), SQ, "radical"))
         assert replaced.alignments is store.alignments
         assert links_from(replaced, TermRef(SQ, "en"))[0] is link
+
+    def test_adjacency_reverses_links_without_checking_them_again(self, monkeypatch):
+        store = load_fixture_ontology()
+        checks = []
+        post_init = AlignmentLink.__post_init__
+        monkeypatch.setattr(
+            AlignmentLink, "__post_init__", lambda link: checks.append(link) or post_init(link)
+        )
+        adjacency = store.adjacency
+        assert checks == []
+        monkeypatch.undo()
+        assert sum(map(len, adjacency.values())) == 2 * len(store.alignments) == 30
+        for link in store.alignments.values():
+            assert link in adjacency[link.source]
+            back = AlignmentLink(link.target, link.source, link.relation, link.confidence)
+            assert back in adjacency[link.target]
 
     def test_alignment_file_round_trip(self):
         links = load_alignments(ALIGNMENT_FILE.read_bytes())

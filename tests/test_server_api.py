@@ -479,6 +479,27 @@ class TestPutThenRestart:
         assert discovered[0] == 200
         assert json.loads(discovered[1])["results"]
 
+    def test_put_layout_changes_nothing(self, tmp_path):
+        """The GET /portions bytes with one edit, put as they are or laid out
+        with indent=2, give the same answer, files and later GET bytes."""
+        outcomes = []
+        for layout in ({}, {"indent": 2}):
+            config = fixture_config(tmp_path / f"layout{len(outcomes)}")
+            with serving(config) as address:
+                status, body = exchange(address, "GET", "/portions/math/fr")
+                doc = json.loads(body)
+                assert json.dumps(doc, ensure_ascii=False).encode() == body
+                doc["terms"][1]["alt_labels"].append("racine carrée principale")
+                doc["version"] += 1
+                body = json.dumps(doc, ensure_ascii=False, **layout).encode()
+                answer = exchange(address, "PUT", "/portions/math/fr", body)
+                outcomes.append(
+                    (answer, data_files(config), exchange(address, "GET", "/portions/math/fr"))
+                )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (200, b'{"domain": "math", "language": "fr", "version": 3}')
+        assert json.loads(outcomes[0][2][1]) == doc
+
     def test_get_bodies_are_the_reference_encoding(self, tmp_path):
         """GET /portions sends the bytes json gives for portion_to_dict before
         a put, after one (whose terms keep their encodings) and after a
