@@ -75,13 +75,18 @@ class ApiHandler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        log.debug("%s %s", self.address_string(), format % args)
+        # Formatted by logging, and only when debug records are on.
+        log.debug("%s " + format, self.address_string(), *args)
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send_body(status, json.dumps(payload, ensure_ascii=False).encode("utf-8"))
 
     def _send_body(self, status: int, body: bytes) -> None:
-        """Send a UTF-8 JSON body that is already encoded."""
+        """Send a UTF-8 JSON body that is already encoded.
+
+        The headers and the body go out in one write: written after the
+        headers, the body would wait in Nagle's algorithm for the client's
+        delayed ACK, about 40 ms on a kept-alive connection."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -89,8 +94,13 @@ class ApiHandler(BaseHTTPRequestHandler):
             # The request body may be unread; do not reuse this connection.
             self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            # No status line or headers were buffered: the body is the response.
+            self.wfile.write(body)
+            return
+        # What end_headers() does, with the body joined to the headers.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]

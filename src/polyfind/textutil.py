@@ -31,8 +31,13 @@ LANGUAGE_RE = re.compile(r"[a-z]{2,3}")
 DIGITS_RE = re.compile(r"[0-9]+")
 
 # Only a \uD800-\uDFFF escape can put a surrogate in a decoded string: the
-# UTF-8 decoder refuses encoded ones, and json joins each escaped pair.
-SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+# UTF-8 decoder refuses encoded ones, and json joins each escaped pair. An
+# escape is a backslash run of odd length then "u": the run's first
+# backslash (no backslash before it), escaped backslash pairs, the escape's
+# own. After an even run, "ud800" is text. Led by the backslash rather than
+# the look-behind, re skips from backslash to backslash: led by the
+# look-behind, it searched a 1 MB portion body about 90 times slower.
+SURROGATE_ESCAPE_RE = re.compile(r"\\(?<!\\\\)(?:\\\\)*u[dD][89a-fA-F]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 # The kinds check_fields accepts, each an isinstance() argument, and their

@@ -883,6 +883,18 @@ class TestLoadOverBase:
         body = self.edited(en, lambda doc: doc.update(language="fr"))
         assert load_portion(body, base=en) == replace(en, language="fr")
 
+    def test_a_label_holding_escape_text_is_scanned_not_decoded(self):
+        term = Term(TermId("math#back"), "back\\ud800slash")
+        base = add_terms(create_portion("math", "en"), [term])
+        body = save_portion(base)
+        assert b'"back\\\\ud800slash"' in body  # an escaped backslash, then text
+        assert ontology._scan_terms(body, base) == (base.version, [term])
+        # An escaped backslash, then a lone surrogate escape.
+        bad = body.replace(b"back\\\\ud800", b"back\\\\\\ud800")
+        for load in (lambda: load_portion(bad, base=base), lambda: load_portion(bad)):
+            with pytest.raises(MalformedDocument, match="lone surrogate"):
+                load()
+
     def test_keeps_no_reference_to_its_base(self):
         base = load_portion(PORTION_FILES[1].read_bytes())
         base.label_index

@@ -2,6 +2,7 @@ import errno
 import http.client
 import json
 import logging
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -175,6 +176,19 @@ class TestBasicRoutes:
         status, doc = request(api, "DELETE", "/health")
         assert status == 404
         assert doc["error"] == "NotFound"
+
+    def test_an_http_0_9_request_gets_the_bare_body(self, api):
+        with socket.create_connection(api, timeout=10) as sock:
+            sock.sendall(b"GET /health\r\n\r\n")
+            answer = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert json.loads(answer)["status"] == "ok"
+
+    def test_request_log_is_formatted_only_by_logging(self, api, caplog):
+        caplog.set_level(logging.DEBUG, logger="polyfind.httpserver")
+        assert request(api, "GET", "/health?log")[0] == 200
+        [record] = [r for r in caplog.records if "/health?log" in r.getMessage()]
+        assert record.getMessage() == '127.0.0.1 "GET /health?log HTTP/1.1" 200 -'
+        assert record.msg == '%s "%s" %s %s'
 
 
 class TestServices:
@@ -779,6 +793,55 @@ class TestServingModel:
         wait_until(lambda: not faults)
         held_connection_blocks_no_one(address)
         assert steady_thread_starts(server, monkeypatch) == []
+
+
+class TestOneWritePerResponse:
+    """Each response leaves in one write, headers and body together: a body
+    written after its headers would wait for the client's delayed ACK."""
+
+    def test_every_route_answers_a_kept_alive_client_in_one_write(self, server, monkeypatch):
+        address = server.server_address[:2]
+        status, doc = request(address, "POST", "/services", DESCRIPTOR_FILES[0].read_bytes())
+        assert status == 201
+        bound = doc["service_id"]
+        writes = []  # per connection, the bytes of each wfile.write call
+        real_setup = ApiHandler.setup
+
+        def recording_setup(handler):
+            real_setup(handler)
+            calls, write = [], handler.wfile.write
+            writes.append(calls)
+            handler.wfile.write = lambda data: calls.append(bytes(data)) or write(data)
+
+        monkeypatch.setattr(ApiHandler, "setup", recording_setup)
+        conn = http.client.HTTPConnection(*address, timeout=10)
+        socks, answers = [], []
+
+        def send(method, path, body=None):
+            conn.request(method, path, body=body)
+            socks.append(conn.sock)
+            response = conn.getresponse()
+            answers.append((response.status, response.read()))
+            return answers[-1][1]
+
+        query = {"text": "square root", "domain": "math", "requester_id": "agent"}
+        try:
+            send("GET", "/health")
+            send("POST", "/discover", json.dumps(query).encode())
+            send("POST", "/bind", json.dumps({"service_id": bound, "requester_id": "agent"}).encode())
+            published = send("POST", "/services", DESCRIPTOR_FILES[1].read_bytes())
+            send("GET", "/portions/math/en")
+            send("DELETE", f"/services/{json.loads(published)['service_id']}")
+            send("GET", "/nope")  # answered with Connection: close
+        finally:
+            conn.close()
+        assert [status for status, _ in answers] == [200, 200, 200, 201, 200, 200, 404]
+        assert all(sock is socks[0] for sock in socks)
+        [calls] = writes
+        assert len(calls) == len(answers)
+        for data, (_, body) in zip(calls, answers):
+            assert data.startswith(b"HTTP/1.1 ")
+            assert data.endswith(b"\r\n\r\n" + body)
 
 
 class TestClientLeaves:

@@ -194,6 +194,13 @@ class TestCheckers:
             check_language(bad)
 
 
+# Surrogate-free text rich in backslashes and in text that reads as a
+# surrogate escape once a backslash precedes it.
+BACKSLASHED_TEXT = st.text() | st.lists(
+    st.sampled_from(["\\", "u", "ud800", "uDFff", "\\ud800", "x"]) | st.text(max_size=2)
+).map("".join)
+
+
 class TestLoadJson:
     @given(st.text())
     def test_escaped_text_loads_back(self, text):
@@ -216,10 +223,21 @@ class TestLoadJson:
         assert load_json(b'["\\u00e9", "\\ucafe", "\xf0\x9f\x98\x80"]') == [
             "é", "\ucafe", "\U0001f600"]
         assert walks == []
-        # An escaped backslash before "ud800" and a paired escape: a walk
-        # that finds no lone surrogate.
-        assert load_json(b'["\\\\ud800", "\\ud83d\\ude00"]') == ["\\ud800", "\U0001f600"]
+        # An escaped backslash before "ud800": text, not an escape.
+        assert load_json(b'["\\\\ud800", "\\\\\\\\ud800"]') == ["\\ud800", "\\\\ud800"]
+        assert walks == []
+        # A paired escape: a walk that finds no lone surrogate.
+        assert load_json(b'["\\ud83d\\ude00"]') == ["\U0001f600"]
         assert walks == [1]
+
+    @given(BACKSLASHED_TEXT)
+    @example("back\\ud800slash")
+    def test_surrogate_free_text_shows_no_surrogate_escape(self, text):
+        assert not textutil.SURROGATE_ESCAPE_RE.search(json.dumps(text, ensure_ascii=False))
+
+    @given(BACKSLASHED_TEXT, st.integers(0xD800, 0xDFFF), BACKSLASHED_TEXT)
+    def test_a_surrogate_always_shows_its_escape(self, before, code, after):
+        assert textutil.SURROGATE_ESCAPE_RE.search(json.dumps(before + chr(code) + after))
 
 
 def _descriptor(xml_lang="en", category_lang="en") -> bytes:
