@@ -19,7 +19,7 @@ from .errors import (
 from .importer import ImportReport
 from .langdetect import DetectionResult, TrigramProfile, detect
 from .mapping import TranslationPath, expand_terms, match_keywords, path_to_dict, translate
-from .ontology import OntologyStore, TermId, TermRef, resolve
+from .ontology import OntologyStore, TermId, TermRef
 from .registry import RegistryStore
 from .textutil import check_identifier, split_words
 
@@ -67,6 +67,7 @@ class _TokenSource:
     term: TermId | None
     path: TranslationPath | None
     confidence: float
+    hops: tuple[str, ...]  # the path's hop ends as text; () without a path
 
 
 def _token_sources(
@@ -76,37 +77,30 @@ def _token_sources(
     target_lang: str,
     store: OntologyStore,
 ) -> dict[str, list[_TokenSource]]:
-    """For one registry language, every searchable token with where it came from."""
+    """For one registry language, every searchable token with where it came
+    from: a term's words are the ones its portion keeps (term_tokens)."""
     sources: dict[str, list[_TokenSource]] = {}
-
-    def add(token: str, source: _TokenSource):
-        sources.setdefault(token, []).append(source)
-
     for keyword in raw_keywords:
-        add(keyword, _TokenSource(keyword, None, None, 1.0))
+        sources.setdefault(keyword, []).append(_TokenSource(keyword, None, None, 1.0, ()))
     for term in terms:
         ref = TermRef(term, query_lang)
         if target_lang == query_lang:
-            resolved = resolve(store, ref)
-            if resolved is None:
-                continue
-            for label in resolved.labels():
-                for token in split_words(label):
-                    add(token, _TokenSource(term, term, None, 1.0))
+            reached = [(ref, None)]
         else:
-            for path in translate(ref, target_lang, store):
-                target = resolve(store, path.target)
-                if target is None:
-                    continue
-                for label in target.labels():
-                    for token in split_words(label):
-                        add(token, _TokenSource(term, term, path, path.confidence))
+            reached = [(path.target, path) for path in translate(ref, target_lang, store)]
+        for target, path in reached:
+            portion = store.portions.get((target.term.domain, target.lang))
+            words = None if portion is None else portion.term_tokens.get(target.term)
+            if words is None:
+                continue
+            if path is None:
+                source = _TokenSource(term, term, None, 1.0, ())
+            else:
+                hops = tuple(str(hop.target) for hop in path.hops)
+                source = _TokenSource(term, term, path, path.confidence, hops)
+            for word in words:
+                sources.setdefault(word, []).append(source)
     return sources
-
-
-def _provenance_key(entry: ProvenanceEntry):
-    path_key = () if entry.path is None else tuple(str(h.target) for h in entry.path.hops)
-    return (entry.source, reg.FIELD_RANK[entry.field], path_key)
 
 
 def _search_pass(
@@ -126,12 +120,17 @@ def _search_pass(
         matches = reg.find(registry_store, sorted(sources), language=target_lang)
         for match in matches:
             factor = 0.0
-            provenance: set[ProvenanceEntry] = set()
+            # (source, field rank, hop ends): one key per distinct entry,
+            # and the order the entries are listed in.
+            provenance: dict[tuple, ProvenanceEntry] = {}
             contributing: set[TermId] = set()
             for token, fname in match.matched_tokens:
+                rank = reg.FIELD_RANK[fname]
                 for src in sources[token]:
                     factor = max(factor, src.confidence)
-                    provenance.add(ProvenanceEntry(src.origin, src.path, fname))
+                    key = (src.origin, rank, src.hops)
+                    if key not in provenance:
+                        provenance[key] = ProvenanceEntry(src.origin, src.path, fname)
                     if src.term is not None:
                         contributing.add(src.term)
             labels = sorted({portion_terms[term].preferred_label for term in contributing})
@@ -140,7 +139,7 @@ def _search_pass(
                 name=registry_store.descriptors[match.service_id].name,
                 language=match.language,
                 score=match.score * factor,
-                provenance=tuple(sorted(provenance, key=_provenance_key)),
+                provenance=tuple(provenance[key] for key in sorted(provenance)),
                 requester_language_labels=tuple(labels),
             ))
     return sorted(entries, key=lambda e: (-e.score, e.service_id))

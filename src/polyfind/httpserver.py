@@ -214,9 +214,13 @@ class ApiServer(HTTPServer):
     no other worker waits in accept() first starts one more, so a kept-alive
     or stalled connection never blocks a new client and concurrency is as
     unbounded as one thread per connection. A worker that finishes while
-    two or more others wait exits, so steady one-at-a-time traffic runs on
-    two parked threads and the extra workers of a burst go away afterwards.
-    Workers are daemon threads named polyfind-worker-<port>.
+    two or more others wait exits, so the extra workers of a burst go away
+    afterwards. Steady one-at-a-time traffic still starts threads: a new
+    connection that arrives before the worker that served the last one has
+    parked again finds one worker waiting, and that worker starts another
+    (536-890 starts in a 20 s wide-ontology benchmark run). ROADMAP.md items
+    9 and 10 plan to measure and bound this. Workers are daemon threads
+    named polyfind-worker-<port>.
     """
 
     allow_reuse_address = True

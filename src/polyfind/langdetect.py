@@ -9,7 +9,7 @@ before any profile runs.
 
 from __future__ import annotations
 
-import unicodedata
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +27,11 @@ MIN_CORPUS_CHARS = 100
 # trigram scoring entirely.
 SCRIPT_EXCLUSIVE: dict[str, tuple[tuple[int, int], ...]] = {
     "ar": ((0x0600, 0x06FF), (0x0750, 0x077F)),
+}
+# Each language's ranges as one character class.
+_SCRIPT_RE = {
+    lang: re.compile("[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges) + "]")
+    for lang, ranges in SCRIPT_EXCLUSIVE.items()
 }
 
 
@@ -50,14 +55,8 @@ class DetectionResult:
 
 def trigram_counts(text: str) -> Counter:
     """Trigram frequencies of normalized text; words padded with one space."""
-    counts: Counter = Counter()
-    for word in normalize_text(text).split(" "):
-        if not word:
-            continue
-        padded = f" {word} "
-        for i in range(len(padded) - 2):
-            counts[padded[i : i + 3]] += 1
-    return counts
+    padded = [f" {word} " for word in normalize_text(text).split()]
+    return Counter([word[i : i + 3] for word in padded for i in range(len(word) - 2)])
 
 
 def rank_trigrams(counts: Counter) -> list[str]:
@@ -90,13 +89,12 @@ def out_of_place_distance(text_ranked: list[str], profile: TrigramProfile) -> in
 
 
 def _script_majority(normalized: str) -> str | None:
-    letters = [ch for ch in normalized if unicodedata.category(ch).startswith("L")]
+    # str.isalpha is exactly Unicode category L*.
+    letters = "".join(filter(str.isalpha, normalized))
     if not letters:
         return None
     for lang in sorted(SCRIPT_EXCLUSIVE):
-        ranges = SCRIPT_EXCLUSIVE[lang]
-        hits = sum(1 for ch in letters if any(lo <= ord(ch) <= hi for lo, hi in ranges))
-        if hits * 2 > len(letters):
+        if len(_SCRIPT_RE[lang].findall(letters)) * 2 > len(letters):
             return lang
     return None
 

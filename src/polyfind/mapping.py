@@ -98,29 +98,38 @@ def translate(ref: TermRef, target_lang: str, store: OntologyStore) -> list[Tran
     """All shortest simple alignment paths (length 1 or 2) into target_lang.
 
     Returns [] when no path exists. Paths never revisit the source and the
-    one-hop level, when non-empty, shadows the two-hop level entirely.
+    one-hop level, when non-empty, shadows the two-hop level entirely. The
+    paths into every language are found at a ref's first translation and
+    kept in the store's memo, so later calls walk no link.
     """
     require_term(store, ref)
     check_language(target_lang)
-    direct = [
-        _path(ref, (link,))
-        for link in links_from(store, ref)
-        if link.target.lang == target_lang
-    ]
-    if direct:
-        return sorted(direct, key=_path_sort_key)
-    pivots: list[TranslationPath] = []
-    for first in links_from(store, ref):
+    memo = store.translations
+    by_lang = memo.get(ref)
+    if by_lang is None:
+        by_lang = memo[ref] = _paths_by_language(ref, store)
+    return list(by_lang.get(target_lang, ()))
+
+
+def _paths_by_language(
+    ref: TermRef, store: OntologyStore
+) -> dict[str, tuple[TranslationPath, ...]]:
+    """translate(ref, lang, store) for each language it reaches."""
+    found: dict[str, list[TranslationPath]] = {}
+    outgoing = links_from(store, ref)
+    for link in outgoing:
+        found.setdefault(link.target.lang, []).append(_path(ref, (link,)))
+    direct = set(found)
+    for first in outgoing:
         mid = first.target
         if mid == ref:
             continue
         for second in links_from(store, mid):
             end = second.target
-            if end == ref or end == mid:
+            if end == ref or end == mid or end.lang in direct:
                 continue
-            if end.lang == target_lang:
-                pivots.append(_path(ref, (first, second)))
-    return sorted(pivots, key=_path_sort_key)
+            found.setdefault(end.lang, []).append(_path(ref, (first, second)))
+    return {lang: tuple(sorted(paths, key=_path_sort_key)) for lang, paths in found.items()}
 
 
 def expand_terms(terms: list[TermId], portion: OntologyPortion) -> list[TermId]:

@@ -31,6 +31,7 @@ from .textutil import (
     check_language,
     load_json,
     normalize_text,
+    split_words,
 )
 
 __all__ = [
@@ -130,6 +131,16 @@ class OntologyPortion:
         for tid in sorted(self.terms):
             _add_labels(index, tid, self.terms[tid])
         return {key: tuple(hits.items()) for key, hits in index.items()}
+
+    @cached_property
+    def term_tokens(self) -> dict[TermId, tuple[str, ...]]:
+        """Term id -> the distinct words of its labels, first seen first;
+        built on first use."""
+        return {tid: _label_words(term) for tid, term in self.terms.items()}
+
+
+def _label_words(term: Term) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(word for label in term.labels() for word in split_words(label)))
 
 
 def _add_labels(index: dict[str, dict[TermId, str]], tid: TermId, term: Term) -> None:
@@ -555,9 +566,15 @@ def _rebased(
         _check_term(domain, terms, tid, out)
     if out or (broader_changed and _broader_sccs(terms)):
         return OntologyPortion(domain, language, version, terms)
+    # The cached_property slots, patched over the base's.
+    built = {"label_index": _patched_index(base, changed)}
+    if "term_tokens" in vars(base):
+        built["term_tokens"] = {
+            **base.term_tokens, **{term.id: _label_words(term) for term in changed}
+        }
     return _checked(
         OntologyPortion, domain=domain, language=language, version=version, terms=terms,
-        label_index=_patched_index(base, changed),  # the cached_property's slot
+        **built,
     )
 
 
@@ -632,6 +649,13 @@ class OntologyStore:
             for ref, links in out.items()
         }
 
+    @cached_property
+    def translations(self) -> dict:
+        """mapping.translate's memo, ref -> {target language: sorted paths},
+        filled as refs are translated. It depends on the links alone, so it
+        lives as long as the adjacency does."""
+        return {}
+
 
 def empty_store() -> OntologyStore:
     return OntologyStore({}, {})
@@ -658,7 +682,8 @@ def resolves(store: OntologyStore, link: AlignmentLink) -> bool:
 
 def set_portion(store: OntologyStore, portion: OntologyPortion) -> OntologyStore:
     """Insert or replace a portion; links into it that no longer resolve are
-    pruned. When none is, the store's own alignment map and adjacency are kept.
+    pruned. When none is, the store's own alignment map, adjacency and
+    translation memo are kept.
     A link into the portion names a term the replaced portion holds, so when
     the new one keeps every such term no link is scanned."""
     key = (portion.domain, portion.language)
@@ -676,8 +701,9 @@ def set_portion(store: OntologyStore, portion: OntologyPortion) -> OntologyStore
         alignments = {pair: link for pair, link in store.alignments.items() if pair not in dead}
         return OntologyStore({**store.portions, key: portion}, alignments)
     new = OntologyStore({**store.portions, key: portion}, store.alignments)
-    if "adjacency" in vars(store):
-        vars(new)["adjacency"] = store.adjacency  # the cached_property's slot
+    for slot in ("adjacency", "translations"):  # the cached_property slots
+        if slot in vars(store):
+            vars(new)[slot] = vars(store)[slot]
     return new
 
 

@@ -205,8 +205,10 @@ class AppState:
 
     def _commit_portion(self, store: onto.OntologyStore, portion: onto.OntologyPortion) -> None:
         """Persist a portion and the alignment files whose links changed,
-        build the portion's label index and the store's adjacency, then swap
-        in the new store, so no reader builds an index after a write."""
+        build the portion's label index, the term tokens of each portion
+        without them (every portion, at the first commit after start-up)
+        and the store's adjacency, then swap in the new store, so no reader
+        builds an index after a write."""
         self._persist_portion(portion)
         before = self._snapshot.ontology
         if store.alignments is not before.alignments:
@@ -220,7 +222,9 @@ class AppState:
                     atomic_write_bytes(path, onto.save_alignments(new[domain]))
                 else:
                     path.unlink(missing_ok=True)
-        portion.label_index, store.adjacency  # fills both cached_property slots
+        portion.label_index, store.adjacency  # fills the cached_property slots
+        for held in store.portions.values():
+            held.term_tokens
         self._snapshot = Snapshot(store, self._snapshot.registry)
 
     # --- writes ---

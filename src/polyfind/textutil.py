@@ -57,6 +57,9 @@ def normalize_text(text: str) -> str:
 
     Idempotent: normalize_text(normalize_text(x)) == normalize_text(x).
     """
+    if text.isascii():
+        # NFC and the strip table change no ASCII text; casefold is lower.
+        return " ".join(text.lower().split())
     text = unicodedata.normalize("NFC", text)
     text = text.translate(_STRIP)
     text = unicodedata.normalize("NFC", text.casefold())

@@ -25,8 +25,12 @@ from polyfind.mapping import TranslationPath
 from polyfind.ontology import (
     AlignmentLink,
     OntologyStore,
+    Term,
+    TermId,
     TermRef,
     add_alignment,
+    add_terms,
+    create_portion,
     empty_store,
     iter_links,
     load_alignments,
@@ -37,8 +41,8 @@ from polyfind.registry import FIELD_WEIGHTS, RegistryStore, publish
 from polyfind.textutil import normalize_text, split_words
 
 # Tier-1 runs hypothesis with its default settings; CI also runs the ontology,
-# text, descriptor, registry and language detection tests with
-# `--hypothesis-profile=ci`.
+# text, descriptor, registry and language detection tests, and the API's
+# any-request property, with `--hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -233,6 +237,30 @@ def random_descriptor(rng) -> ServiceDescriptor:
 def random_query(rng) -> list[str]:
     pool = WORDS + ["banana", "xyz", "Square", "ROOT"]
     return rng.choices(pool, k=rng.randint(1, 4))
+
+
+def random_alignment_store(rng):
+    """A store of 2-4 languages, each with a few terms, and random links
+    between them: (store, its languages, every term's ref)."""
+    langs = rng.sample(["ar", "en", "fr", "de"], rng.randint(2, 4))
+    store = empty_store()
+    refs_by_lang = {}
+    for lang in langs:
+        count = rng.randint(1, 30 // len(langs))
+        terms = [Term(TermId(f"d#t{i}"), f"term {i}") for i in range(count)]
+        store = set_portion(store, add_terms(create_portion("d", lang), terms))
+        refs_by_lang[lang] = [TermRef(term.id, lang) for term in terms]
+    all_refs = [ref for refs in refs_by_lang.values() for ref in refs]
+    for _ in range(rng.randint(0, 2 * len(all_refs))):
+        source_lang, target_lang = rng.sample(langs, 2)
+        link = AlignmentLink(
+            rng.choice(refs_by_lang[source_lang]),
+            rng.choice(refs_by_lang[target_lang]),
+            rng.choice(("exact", "close")),
+            round(rng.uniform(0.05, 1.0), 6),
+        )
+        store = add_alignment(store, link)
+    return store, langs, all_refs
 
 
 # --- oracle: brute-force field-weighted tf-idf, no inverted index ---

@@ -28,17 +28,6 @@ from polyfind.httpserver import make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.langdetect import detect
 from polyfind.mapping import translate
-from polyfind.ontology import (
-    AlignmentLink,
-    Term,
-    TermId,
-    TermRef,
-    add_alignment,
-    add_terms,
-    create_portion,
-    empty_store,
-    set_portion,
-)
 from polyfind.registry import RegistryStore, find, publish
 from polyfind.state import AppState
 
@@ -51,6 +40,7 @@ from conftest import (
     load_fixture_ontology,
     oracle_find,
     oracle_translate,
+    random_alignment_store,
     random_descriptor,
     random_query,
 )
@@ -183,28 +173,6 @@ def test_c05_registry_matches_bruteforce_oracle():
 
 
 # --- criterion 6: translation agrees with exhaustive path enumeration ---
-
-
-def random_alignment_store(rng):
-    langs = rng.sample(["ar", "en", "fr", "de"], rng.randint(2, 4))
-    store = empty_store()
-    refs_by_lang = {}
-    for lang in langs:
-        count = rng.randint(1, 30 // len(langs))
-        terms = [Term(TermId(f"d#t{i}"), f"term {i}") for i in range(count)]
-        store = set_portion(store, add_terms(create_portion("d", lang), terms))
-        refs_by_lang[lang] = [TermRef(term.id, lang) for term in terms]
-    all_refs = [ref for refs in refs_by_lang.values() for ref in refs]
-    for _ in range(rng.randint(0, 2 * len(all_refs))):
-        source_lang, target_lang = rng.sample(langs, 2)
-        link = AlignmentLink(
-            rng.choice(refs_by_lang[source_lang]),
-            rng.choice(refs_by_lang[target_lang]),
-            rng.choice(("exact", "close")),
-            round(rng.uniform(0.05, 1.0), 6),
-        )
-        store = add_alignment(store, link)
-    return store, langs, all_refs
 
 
 def test_c06_translation_matches_exhaustive_oracle():

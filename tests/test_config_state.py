@@ -641,6 +641,7 @@ class TestWriterBuildsIndexes:
     def assert_indexes_built(self, state, monkeypatch):
         store = state.snapshot().ontology
         assert "label_index" in vars(store.portions[("math", "en")])
+        assert all("term_tokens" in vars(p) for p in store.portions.values())
         assert "adjacency" in vars(store)
         first = discover_counting_normalize(monkeypatch, state, self.QUERY)
         assert first[1].results

@@ -1,10 +1,12 @@
 import json
+import unicodedata
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyfind import langdetect
 from polyfind.errors import (
     CorpusTooSmall,
     EmptyInput,
@@ -15,6 +17,7 @@ from polyfind.errors import (
 from polyfind.langdetect import (
     ABSENT_PENALTY,
     PROFILE_SIZE,
+    SCRIPT_EXCLUSIVE,
     TrigramProfile,
     build_profile,
     build_profiles_from_corpora,
@@ -26,6 +29,7 @@ from polyfind.langdetect import (
     rank_trigrams,
     trigram_counts,
 )
+from polyfind.textutil import normalize_text
 
 from conftest import HELDOUT_DIR
 
@@ -48,6 +52,50 @@ class TestTrigramCounts:
 
     def test_normalization_applied(self):
         assert trigram_counts("AB") == trigram_counts("ab")
+
+
+def reference_script_majority(normalized: str) -> str | None:
+    """The script vote as a loop over Unicode categories and ranges."""
+    letters = [ch for ch in normalized if unicodedata.category(ch).startswith("L")]
+    if not letters:
+        return None
+    for lang in sorted(SCRIPT_EXCLUSIVE):
+        ranges = SCRIPT_EXCLUSIVE[lang]
+        hits = sum(1 for ch in letters if any(lo <= ord(ch) <= hi for lo, hi in ranges))
+        if hits * 2 > len(letters):
+            return lang
+    return None
+
+
+def reference_trigram_counts(text: str) -> Counter:
+    """Trigram counting as a loop over each padded word."""
+    counts: Counter = Counter()
+    for word in normalize_text(text).split(" "):
+        if not word:
+            continue
+        padded = f" {word} "
+        for i in range(len(padded) - 2):
+            counts[padded[i : i + 3]] += 1
+    return counts
+
+
+# Text drawn mostly from the Arabic blocks, letters, marks and digits alike,
+# mixed with any other characters.
+ARABIC_HEAVY_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0x0600, max_codepoint=0x077F) | st.characters()
+)
+
+
+class TestMatchesTheReferenceLoops:
+    @given(st.text() | ARABIC_HEAVY_TEXT)
+    def test_script_majority(self, text):
+        assert langdetect._script_majority(text) == reference_script_majority(text)
+
+    @given(st.text() | ARABIC_HEAVY_TEXT)
+    def test_trigram_counts(self, text):
+        counts = trigram_counts(text)
+        assert counts == reference_trigram_counts(text)
+        assert list(counts) == list(reference_trigram_counts(text))
 
 
 class TestRankTrigrams:
@@ -151,8 +199,6 @@ class TestDetect:
         "service discovery across languages",
     ]))
     def test_idempotent_under_normalization(self, profiles, text):
-        from polyfind.textutil import normalize_text
-
         assert detect(text, profiles) == detect(normalize_text(text), profiles)
 
     def test_deterministic(self, profiles):

@@ -1,8 +1,11 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 
-from polyfind import langdetect, ontology, registry, textutil
+from polyfind import langdetect, mapping, ontology, registry, textutil
 from polyfind.errors import EmptyQuery, UnknownTerm
 from polyfind.mapping import expand_terms, match_keywords, path_to_dict, translate
 from polyfind.ontology import (
@@ -19,7 +22,13 @@ from polyfind.ontology import (
     set_portion,
 )
 
-from conftest import PORTION_FILES, load_fixture_ontology, oracle_translate, prefix_store
+from conftest import (
+    PORTION_FILES,
+    load_fixture_ontology,
+    oracle_translate,
+    prefix_store,
+    random_alignment_store,
+)
 
 SQ = TermId("math#square_root")
 RF = TermId("math#root_finding")
@@ -216,6 +225,104 @@ class TestTranslate:
         assert doc["target"] == {"term": "math#number", "lang": "en"}
         assert doc["confidence"] == 1.0
         assert len(doc["hops"]) == 1
+
+
+class TestTranslationMemo:
+    """translate keeps every ref's paths in the store's memo: a second call
+    walks no link, and the memo lives exactly as long as the links do."""
+
+    @staticmethod
+    def count_links_from(monkeypatch):
+        calls = []
+        original = mapping.links_from
+        monkeypatch.setattr(
+            mapping, "links_from", lambda store, ref: calls.append(ref) or original(store, ref)
+        )
+        return calls
+
+    def test_every_ref_and_language_twice(self, monkeypatch):
+        rng = random.Random(2908)
+        calls = self.count_links_from(monkeypatch)
+        for _ in range(60):
+            store, langs, refs = random_alignment_store(rng)
+            absent = next(lang for lang in ("ar", "en", "fr", "de", "es") if lang not in langs)
+            for run in range(2):
+                calls.clear()
+                for ref in refs:
+                    for target in (*langs, absent):
+                        assert translate(ref, target, store) == oracle_translate(
+                            store, ref, target
+                        )
+                if run == 1:
+                    assert calls == []
+
+    def test_readers_filling_it_at_once_agree_with_the_oracle(self):
+        store, langs, refs = random_alignment_store(random.Random(29))
+        pairs = [(ref, lang) for ref in refs for lang in langs]
+        expected = {pair: oracle_translate(store, *pair) for pair in pairs}
+        wrong = []
+
+        def reader(order):
+            for ref, lang in order:
+                if translate(ref, lang, store) != expected[ref, lang]:
+                    wrong.append((ref, lang))
+
+        orders = [random.Random(i).sample(pairs, len(pairs)) for i in range(8)]
+        threads = [threading.Thread(target=reader, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert set(store.translations) == set(refs)
+
+    def test_each_call_returns_a_fresh_list(self, fixture_ontology):
+        ref = TermRef(SQ, "ar")
+        first = translate(ref, "en", fixture_ontology)
+        first.clear()
+        assert len(translate(ref, "en", fixture_ontology)) == 1
+
+    @staticmethod
+    def translated(store):
+        translate(TermRef(SQ, "ar"), "en", store)
+        assert store.translations
+        return store
+
+    def test_kept_by_a_put_that_prunes_nothing(self):
+        store = self.translated(load_fixture_ontology())
+        portion = store.portions[("math", "en")]
+        new = set_portion(store, add_terms(portion, [Term(TermId("math#zero"), "zero")]))
+        assert new.alignments is store.alignments
+        assert new.translations is store.translations
+
+    def test_emptied_by_a_put_that_prunes_a_link(self):
+        store = self.translated(load_fixture_ontology())
+        portion = store.portions[("math", "en")]
+        kept = {tid: term for tid, term in portion.terms.items() if tid != SQ}
+        for tid, term in kept.items():  # drop the relations into SQ with it
+            kept[tid] = Term(
+                tid, term.preferred_label, term.alt_labels, term.definition,
+                tuple(r for r in term.relations if r.target != SQ),
+            )
+        new = set_portion(store, ontology.OntologyPortion("math", "en", 9, kept))
+        assert len(new.alignments) < len(store.alignments)
+        assert new.translations == {}
+        assert translate(TermRef(SQ, "ar"), "en", new) == []
+
+    def test_emptied_by_add_alignment(self):
+        no_ar_en = frozenset({frozenset({"ar", "en"})})
+        store = self.translated(load_fixture_ontology(skip_pairs=no_ar_en))
+        assert [len(p.hops) for p in translate(TermRef(SQ, "ar"), "en", store)] == [2]
+        link = AlignmentLink(TermRef(SQ, "ar"), TermRef(SQ, "en"), "exact", 1.0)
+        new = add_alignment(store, link)
+        assert new.translations == {}
+        assert [len(p.hops) for p in translate(TermRef(SQ, "ar"), "en", new)] == [1]
 
 
 class TestExpandTerms:

@@ -243,6 +243,19 @@ class TestLabelIndex:
         assert lookup_label_kinds(portion, "radix") == []
 
 
+class TestTermTokens:
+    def test_distinct_words_of_every_label_first_seen_first(self):
+        sq, rf = TermId("math#sq"), TermId("math#rf")
+        portion = add_terms(create_portion("math", "en"), [
+            Term(sq, "Square Root", ("squareRoot", "root of X", "الجَذر")),
+            Term(rf, "root_finding"),
+        ])
+        assert portion.term_tokens == {
+            sq: ("square", "root", "of", "x", "الجذر"),
+            rf: ("root", "finding"),
+        }
+
+
 def structural_error(build) -> str:
     """The detail of the InvariantViolation that build() raises."""
     with pytest.raises(InvariantViolation) as err:
@@ -795,18 +808,25 @@ def relaid_bodies(draw):
 
 class TestLoadOverBase:
     """load_portion(body, base=...) reuses the base's unchanged terms and
-    patches its label index; load_portion(body) is the definition."""
+    patches its label index, and its term tokens when the base's were built;
+    load_portion(body) is the definition."""
 
-    @given(edited_bodies() | relaid_bodies())
-    def test_equals_a_full_load(self, case):
+    @given(edited_bodies() | relaid_bodies(), st.booleans())
+    def test_equals_a_full_load(self, case, with_tokens):
         base, body = case
         index = base.label_index  # built, as for every portion a server holds
+        tokens = base.term_tokens if with_tokens else None  # built after the first put
         fast = load_outcome(lambda: load_portion(body, base=base))
         assert fast == load_outcome(lambda: load_portion(body))
         assert base.label_index is index
         assert index == replace(base).label_index  # the patch left the base alone
         if isinstance(fast[0], OntologyPortion):
             assert fast[1] is not index
+            if with_tokens:
+                assert fast[0].term_tokens == load_portion(body).term_tokens
+        if with_tokens:
+            assert base.term_tokens is tokens
+            assert tokens == replace(base).term_tokens
 
     @staticmethod
     def edited(portion, edit):
@@ -825,16 +845,18 @@ class TestLoadOverBase:
 
     def test_an_edit_reuses_the_other_terms_and_patches_the_index(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())
-        base.label_index
+        base.label_index, base.term_tokens
         body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("Radix"))
         calls = self.count_validations(monkeypatch)
         portion = load_portion(body, base=base)
         assert calls == []
         changed = [tid for tid in portion.terms if portion.terms[tid] is not base.terms[tid]]
         assert changed == [sorted(base.terms, key=str)[0]]
-        assert "label_index" in vars(portion)
+        assert "label_index" in vars(portion) and "term_tokens" in vars(portion)
         assert lookup_label_kinds(portion, "radix") == [(changed[0], "alt")]
+        assert portion.term_tokens[changed[0]][-1] == "radix"
         assert (portion, portion.label_index) == load_outcome(lambda: load_portion(body))
+        assert portion.term_tokens == load_portion(body).term_tokens
 
     def test_a_one_edit_body_compares_only_the_edited_term(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())

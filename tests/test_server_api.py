@@ -3,11 +3,15 @@ import http.client
 import json
 import logging
 import socket
+import string
 import threading
 import time
 from contextlib import contextmanager
+from urllib.parse import quote
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyfind.config import ServerConfig
 from polyfind.httpserver import ApiHandler, make_server
@@ -594,6 +598,116 @@ class TestDeepNesting:
         assert (status, doc["error"]) == (400, error)
         assert "nested too deeply" in doc["detail"]
         assert request(api, "GET", "/health")[0] == 200
+
+
+# --- no route answers 500 ---
+
+# Every key a route reads, and a few it does not.
+_KEYS = [
+    "text", "domain", "requester_id", "language", "service_id", "repo", "version",
+    "terms", "id", "preferred_label", "alt_labels", "definition", "relations", "x",
+]
+_LONE_SURROGATE = st.integers(0xD800, 0xDFFF).map(chr)
+_ODD_TEXT = (
+    st.text()
+    | st.text(alphabet=st.characters(min_codepoint=0x0600, max_codepoint=0x077F) | st.characters())
+    | st.tuples(st.text(max_size=4), _LONE_SURROGATE).map("".join)
+    | st.sampled_from(["math", "en", "ar", "fr", "s-000001", "s-00000١", "الجذر التربيعي"])
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), inner, max_size=5),
+    max_leaves=12,
+)
+# A document shaped for each body route, its values from _ODD_TEXT or _JSON.
+_SHAPED = st.one_of(*(
+    st.fixed_dictionaries(
+        {key: _ODD_TEXT | _JSON for key in required},
+        optional={key: _ODD_TEXT | _JSON for key in optional},
+    )
+    for required, optional in [
+        (("text", "domain", "requester_id"), ("language",)),  # discover
+        (("service_id", "requester_id"), ()),  # bind
+        (("repo", "domain", "language"), ()),  # import
+        (("domain", "language", "version", "terms"), ()),  # put a portion
+    ]
+))
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_BODIES = st.one_of(
+    _SHAPED.map(lambda doc: json.dumps(doc).encode()),  # escapes lone surrogates
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=64),
+    st.just(_DEEP),
+    st.sampled_from([path.read_bytes() for path in DESCRIPTOR_FILES + PORTION_FILES]),
+)
+_SEGMENT = (
+    st.text(alphabet=string.printable.strip().replace("/", "").replace("?", ""), max_size=12)
+    | st.text(max_size=8).map(lambda text: quote(text, safe=""))
+    | st.sampled_from(["math", "en", "ar", "xx", "s-000001", "s-999999"])
+)
+_REQUESTS = st.one_of(
+    st.tuples(
+        st.sampled_from([
+            ("POST", "/services"), ("POST", "/discover"), ("POST", "/bind"),
+            ("POST", "/ontology/import"), ("PUT", "/portions/math/en"),
+            ("GET", "/health"), ("GET", "/portions"),
+        ]),
+        _BODIES,
+    ).map(lambda pair: (*pair[0], pair[1])),
+    st.tuples(
+        st.sampled_from(["GET", "DELETE"]), _SEGMENT.map(lambda tail: f"/services/{tail}"),
+        st.none(),
+    ),
+    st.tuples(
+        st.sampled_from(["GET", "PUT"]),
+        st.tuples(_SEGMENT, _SEGMENT).map(lambda pair: "/portions/{}/{}".format(*pair)),
+        _BODIES,
+    ),
+    st.tuples(
+        st.sampled_from(["GET", "POST", "PUT", "DELETE"]),
+        st.lists(_SEGMENT, max_size=3).map(lambda parts: "/" + "/".join(parts)),
+        st.none() | _BODIES,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def unreachable_repo_api(tmp_path_factory):
+    """A server on a copy of the fixtures whose one remote repository
+    refuses every connection; yields its address."""
+    with socket.socket() as probe:  # a port that nothing listens on
+        probe.bind(("127.0.0.1", 0))
+        closed = probe.getsockname()[1]
+    config = fixture_config(tmp_path_factory.mktemp("any-request"))
+    config = ServerConfig(
+        host=config.host, port=0, data_dir=config.data_dir, network_timeout=1.0,
+        remote_repos=(RemoteRepoRef("gone", f"http://127.0.0.1:{closed}"),),
+    )
+    with serving(config) as address:
+        for path in DESCRIPTOR_FILES:
+            assert request(address, "POST", "/services", path.read_bytes())[0] == 201
+        yield address
+
+
+class TestAnyRequest:
+    """No route answers 500, whatever the method, path and body: only an
+    import whose repository cannot be reached answers a 5xx, 502. Every
+    error body is JSON naming its error."""
+
+    @settings(deadline=None)
+    @given(_REQUESTS)
+    @example(("POST", "/bind", _DEEP))
+    @example(("PUT", "/portions/math/en", _DEEP))
+    @example(("POST", "/discover", b'{"text": "\\ud800", "domain": "math", "requester_id": "a"}'))
+    @example(("POST", "/discover", b'{"text": "x\\udfff", "domain": "math", "requester_id": "a"}'))
+    @example(("POST", "/ontology/import", b'{"repo": "gone", "domain": "math", "language": "de"}'))
+    def test_answers_below_500(self, unreachable_repo_api, case):
+        method, path, body = case
+        status, raw = exchange(unreachable_repo_api, method, path, body)
+        assert status < 500 or (status, path) == (502, "/ontology/import"), raw
+        if status >= 400:
+            assert "error" in json.loads(raw)
 
 
 class TestImportRoute:

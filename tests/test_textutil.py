@@ -32,6 +32,18 @@ from polyfind.textutil import (
 )
 
 
+# ASCII text, weighted toward the whitespace that str.split() breaks at.
+ASCII_TEXT = st.text(
+    alphabet=st.sampled_from("\x1c\x1d\x1e\x1f\t\v\f\r\n ") | st.characters(max_codepoint=0x7F)
+)
+
+
+def full_normalize(text: str) -> str:
+    """normalize_text without its ASCII shortcut."""
+    text = unicodedata.normalize("NFC", text).translate(textutil._STRIP)
+    return " ".join(unicodedata.normalize("NFC", text.casefold()).split())
+
+
 class TestNormalizeText:
     def test_fold_and_collapse(self):
         assert normalize_text("  Square   ROOT ") == "square root"
@@ -64,6 +76,10 @@ class TestNormalizeText:
         out = normalize_text(text)
         assert out == out.strip()
         assert "  " not in out
+
+    @given(ASCII_TEXT)
+    def test_ascii_text_takes_the_full_path_result(self, text):
+        assert normalize_text(text) == full_normalize(text)
 
 
 class TestSplitWords:
