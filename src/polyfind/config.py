@@ -14,6 +14,9 @@ from .importer import RemoteRepoRef
 from .textutil import DIGITS_RE, check_fields, load_json
 
 DATA_DIR_ENV = "MOS_DATA_DIR"
+# The longest network_timeout, in seconds: one day, well below what a
+# socket's settimeout accepts.
+MAX_NETWORK_TIMEOUT = 86_400.0
 
 # Every key of the config file is optional.
 _CONFIG_FIELDS = {
@@ -105,8 +108,11 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
         repos.append(RemoteRepoRef(entry["name"], _check_base_url(entry["base_url"], i)))
 
     timeout = doc.get("network_timeout", 10.0)
-    if timeout <= 0:
-        raise ConfigError(f"network_timeout must be a positive number, got {timeout!r}")
+    if not 0 < timeout <= MAX_NETWORK_TIMEOUT:  # NaN fails every comparison
+        raise ConfigError(
+            f"network_timeout must be a positive number of seconds up to "
+            f"{MAX_NETWORK_TIMEOUT:g}, got {timeout!r}"
+        )
 
     return ServerConfig(
         host=host,

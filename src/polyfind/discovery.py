@@ -176,8 +176,7 @@ def discover(
             f"no ontology portion for domain {query.domain!r} in language {language!r}"
         )
 
-    matches, raw_keywords = match_keywords(words, portion)
-    terms = list(dict.fromkeys(m.term for m in matches))
+    terms, raw_keywords = match_keywords(words, portion)
 
     results = _search_pass(
         raw_keywords, terms, language, portion.terms, ontology, registry_store

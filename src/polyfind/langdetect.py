@@ -171,7 +171,10 @@ def build_profiles_from_corpora(directory: Path) -> list[TrigramProfile]:
 
 def load_profiles(directory: Path) -> list[TrigramProfile]:
     """Profiles from a directory holding <lang>.txt corpora and/or
-    prebuilt <lang>.json profile documents. One language, one profile."""
+    prebuilt <lang>.json profile documents. One language, one profile, and
+    at least one for a language that the script rule does not decide."""
+    if not Path(directory).is_dir():
+        raise NoProfiles(f"profile directory {directory} does not exist")
     profiles = build_profiles_from_corpora(directory)
     for path in sorted(Path(directory).glob("*.json")):
         profiles.append(profile_from_json(path.read_bytes()))
@@ -180,4 +183,8 @@ def load_profiles(directory: Path) -> list[TrigramProfile]:
         if profile.language in seen:
             raise SchemaViolation("$", f"more than one profile for {profile.language!r}")
         seen.add(profile.language)
+    if all(language in SCRIPT_EXCLUSIVE for language in seen):
+        raise NoProfiles(
+            f"{directory} holds no profile for a language outside {sorted(SCRIPT_EXCLUSIVE)}"
+        )
     return profiles

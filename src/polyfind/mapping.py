@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyQuery, UnknownTerm
+from .errors import UnknownTerm
 from .ontology import (
     AlignmentLink,
     OntologyPortion,
@@ -21,14 +21,6 @@ from .ontology import (
     require_term,
 )
 from .textutil import check_language
-
-
-@dataclass(frozen=True)
-class TermMatch:
-    keyword: str  # the consumed word or two-word phrase, as given
-    term: TermId
-    language: str
-    match_kind: str  # preferred | alt
 
 
 @dataclass(frozen=True)
@@ -45,35 +37,30 @@ class TranslationPath:
 
 def match_keywords(
     keywords: list[str], portion: OntologyPortion
-) -> tuple[list[TermMatch], list[str]]:
+) -> tuple[list[TermId], list[str]]:
     """Greedy left-to-right matching of keywords against portion labels.
 
     At each position the two-word phrase is tried before the single word,
-    so multi-word labels win over their parts. Unconsumed keywords come
-    back verbatim in the second list.
+    so multi-word labels win over their parts. Returns the matched term ids,
+    each once in first-match order, and the unconsumed keywords verbatim.
     """
-    if not keywords:
-        raise EmptyQuery("no keywords to match")
-    matches: list[TermMatch] = []
+    terms: list[TermId] = []
     unmatched: list[str] = []
     i = 0
     while i < len(keywords):
         if i + 1 < len(keywords):
-            consumed = f"{keywords[i]} {keywords[i + 1]}"
-            hits = lookup_label_kinds(portion, consumed)
+            hits = lookup_label_kinds(portion, f"{keywords[i]} {keywords[i + 1]}")
             if hits:
-                for tid, kind in hits:
-                    matches.append(TermMatch(consumed, tid, portion.language, kind))
+                terms.extend(hits)
                 i += 2
                 continue
         hits = lookup_label_kinds(portion, keywords[i])
         if hits:
-            for tid, kind in hits:
-                matches.append(TermMatch(keywords[i], tid, portion.language, kind))
+            terms.extend(hits)
         else:
             unmatched.append(keywords[i])
         i += 1
-    return matches, unmatched
+    return list(dict.fromkeys(terms)), unmatched
 
 
 def _path(source: TermRef, hops: tuple[AlignmentLink, ...]) -> TranslationPath:

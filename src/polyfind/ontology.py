@@ -124,13 +124,14 @@ class OntologyPortion:
             )
 
     @cached_property
-    def label_index(self) -> dict[str, tuple[tuple[TermId, str], ...]]:
-        """Normalized label -> (term id, preferred|alt) pairs ordered by
-        term id, one per term, preferred winning; built on first lookup."""
-        index: dict[str, dict[TermId, str]] = {}
+    def label_index(self) -> dict[str, tuple[TermId, ...]]:
+        """Normalized label -> the ids of the terms holding it, in id order;
+        built on first lookup."""
+        index: dict[str, list[TermId]] = {}
         for tid in sorted(self.terms):
-            _add_labels(index, tid, self.terms[tid])
-        return {key: tuple(hits.items()) for key, hits in index.items()}
+            for key in _label_keys(self.terms[tid]):
+                index.setdefault(key, []).append(tid)
+        return {key: tuple(ids) for key, ids in index.items()}
 
     @cached_property
     def term_tokens(self) -> dict[TermId, tuple[str, ...]]:
@@ -143,29 +144,27 @@ def _label_words(term: Term) -> tuple[str, ...]:
     return tuple(dict.fromkeys(word for label in term.labels() for word in split_words(label)))
 
 
-def _add_labels(index: dict[str, dict[TermId, str]], tid: TermId, term: Term) -> None:
-    """File `tid` under each of the term's normalized labels, preferred winning."""
-    index.setdefault(normalize_text(term.preferred_label), {})[tid] = "preferred"
-    for alt in term.alt_labels:
-        index.setdefault(normalize_text(alt), {}).setdefault(tid, "alt")
+def _label_keys(term: Term) -> set[str]:
+    """The term's distinct normalized labels."""
+    return {normalize_text(label) for label in term.labels()}
 
 
 def _patched_index(base: OntologyPortion, changed: list[Term]) -> dict:
-    """base.label_index with the changed terms re-keyed: their pairs leave
+    """base.label_index with the changed terms re-keyed: their ids leave
     the keys of their base labels and join those of their new labels."""
     ids = {term.id for term in changed}
-    fresh: dict[str, dict[TermId, str]] = {}
+    fresh: dict[str, list[TermId]] = {}
     for term in changed:
         old = base.terms.get(term.id)
-        for label in () if old is None else old.labels():
-            fresh.setdefault(normalize_text(label), {})
-        _add_labels(fresh, term.id, term)
+        for key in () if old is None else _label_keys(old):
+            fresh.setdefault(key, [])
+        for key in _label_keys(term):
+            fresh.setdefault(key, []).append(term.id)
     index = dict(base.label_index)
-    for key, hits in fresh.items():
-        kept = [pair for pair in index.get(key, ()) if pair[0] not in ids]
-        pairs = sorted([*kept, *hits.items()])  # one pair per id
-        if pairs:
-            index[key] = tuple(pairs)
+    for key, added in fresh.items():
+        merged = sorted([*(tid for tid in index.get(key, ()) if tid not in ids), *added])
+        if merged:
+            index[key] = tuple(merged)
         else:
             index.pop(key, None)
     return index
@@ -221,9 +220,12 @@ def add_label(portion: OntologyPortion, term_id: TermId, label: str) -> Ontology
     )
 
 
-def lookup_label_kinds(portion: OntologyPortion, label: str) -> list[tuple[TermId, str]]:
-    """All (term id, preferred|alt) whose label normalizes equal to `label`."""
-    return list(portion.label_index.get(normalize_text(label), ()))
+def lookup_label_kinds(portion: OntologyPortion, label: str) -> tuple[TermId, ...]:
+    """The ids, in id order, of the terms with a label that normalizes equal
+    to `label`. The name outlives the match kinds the index once kept:
+    mapping calls it through this module's global, which the benchmark's
+    tracer (bench/traced_serve.py) wraps under this name."""
+    return portion.label_index.get(normalize_text(label), ())
 
 
 # --- structural validation ---
@@ -460,26 +462,23 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
     holds for the same (domain, language), only saves work: the result, or
     the error, is the one load_portion(data) gives. A body laid out as
     save_portion writes it is decoded only where it differs from the base's
-    terms (_scan_terms); any other body is decoded whole. An entry equal to
-    the dict portion_to_dict emits for the base term with its id is input
-    that passed every check, so it reuses that Term; see _rebased for the
-    rest. The constructor's error for a bad version, domain or language
-    passes through."""
+    terms (_scan_terms), reusing the Term of every entry it repeats, and
+    every decoded entry counts as changed; see _rebased for the rest. Any
+    other body is loaded in full, the base ignored. The constructor's error
+    for a bad version, domain or language passes through."""
     scanned = None if base is None else _scan_terms(data, base)
     if scanned is None:
         doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
         domain, language, version = doc["domain"], doc["language"], doc["version"]
         entries = doc["terms"]
-        if base is not None and (base.domain, base.language) != (domain, language):
-            base = None
+        base = None
     else:
         domain, language = base.domain, base.language
         version, entries = scanned
-    known = {} if base is None else base.terms
     terms: dict[TermId, Term] = {}
     changed: list[Term] = []  # the terms not reused from base
     # Each id text parsed once; targets share the keys, and the base's.
-    ids: dict[str, TermId] = {tid: tid for tid in known}
+    ids: dict[str, TermId] = {} if base is None else {tid: tid for tid in base.terms}
 
     def term_id(text: str, path: str) -> TermId:
         tid = ids.get(text)
@@ -489,17 +488,10 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
 
     for i, entry in enumerate(entries):
         if isinstance(entry, Term):
-            old = entry
-        else:
-            text = entry.get("id") if known and isinstance(entry, dict) else None
-            old = known.get(text) if isinstance(text, str) else None
-            if old is not None and entry != _term_to_dict(old):
-                old = None
-        if old is not None:
             size = len(terms)
-            terms[old.id] = old
+            terms[entry.id] = entry
             if len(terms) == size:
-                raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {old.id}")
+                raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {entry.id}")
             continue
         path = f"$.terms[{i}]"
         check_fields(entry, path, _TERM_FIELDS, {})

@@ -41,8 +41,8 @@ from polyfind.registry import FIELD_WEIGHTS, RegistryStore, publish
 from polyfind.textutil import normalize_text, split_words
 
 # Tier-1 runs hypothesis with its default settings; CI also runs the ontology,
-# text, descriptor, registry and language detection tests, and the API's
-# any-request property, with `--hypothesis-profile=ci`.
+# mapping, discovery, text, descriptor, registry and language detection tests,
+# and the API's any-request property, with `--hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -367,6 +367,115 @@ def oracle_translate(store: OntologyStore, ref: TermRef, target_lang: str):
         )
     )
     return paths
+
+
+# --- oracle: the whole discover pipeline, by brute force ---
+
+
+def oracle_discover(store, descriptors_by_id, text, domain, language):
+    """response_to_dict of a discover with a declared language, worked out
+    from README's rules ("How a discover answers"): labels by a full scan,
+    paths from oracle_translate and scores from oracle_find."""
+    portion = store.portions[(domain, language)]
+
+    def holders(phrase):
+        key = normalize_text(phrase)
+        return [
+            tid for tid in sorted(portion.terms)
+            if any(normalize_text(label) == key for label in portion.terms[tid].labels())
+        ]
+
+    words = split_words(text)
+    matched, raw = [], []
+    i = 0
+    while i < len(words):
+        pair = holders(f"{words[i]} {words[i + 1]}") if i + 1 < len(words) else []
+        if pair:
+            matched += pair
+            i += 2
+            continue
+        single = holders(words[i])
+        if single:
+            matched += single
+        else:
+            raw.append(words[i])
+        i += 1
+    matched = list(dict.fromkeys(matched))
+
+    def ref_doc(ref):
+        return {"term": ref.term, "lang": ref.lang}
+
+    def path_doc(path):
+        return None if path is None else {
+            "source": ref_doc(path.source),
+            "target": ref_doc(path.target),
+            "confidence": path.confidence,
+            "hops": [
+                {"target": ref_doc(hop.target), "relation": hop.relation,
+                 "confidence": hop.confidence}
+                for hop in path.hops
+            ],
+        }
+
+    def search(terms):
+        results = []
+        for target in sorted({d.language for d in descriptors_by_id.values()}):
+            # token -> its sources: (origin, term or None, path or None, confidence)
+            sources = {word: [(word, None, None, 1.0)] for word in raw}
+            for tid in terms:
+                ref = TermRef(tid, language)
+                if target == language:
+                    reached = [(ref, None)]
+                else:
+                    reached = [(p.target, p) for p in oracle_translate(store, ref, target)]
+                for end, path in reached:
+                    held = store.portions.get((end.term.domain, end.lang))
+                    if held is None or end.term not in held.terms:
+                        continue
+                    confidence = 1.0 if path is None else path.confidence
+                    for label in held.terms[end.term].labels():
+                        for word in split_words(label):
+                            sources.setdefault(word, []).append((tid, tid, path, confidence))
+            if not sources:
+                continue
+            for sid, score in oracle_find(descriptors_by_id, list(sources), language=target):
+                hits = {
+                    (token, name) for name, token in field_tokens(descriptors_by_id[sid])
+                    if token in sources
+                }
+                factor = max(src[3] for token, _ in hits for src in sources[token])
+                provenance, labels = {}, set()
+                for token, name in hits:
+                    for origin, tid, path, _ in sources[token]:
+                        hops = () if path is None else tuple(str(h.target) for h in path.hops)
+                        key = (origin, FIELD_NAMES.index(name), hops)
+                        provenance[key] = {"source": origin, "path": path_doc(path), "field": name}
+                        if tid is not None:
+                            labels.add(portion.terms[tid].preferred_label)
+                results.append({
+                    "service_id": sid,
+                    "name": descriptors_by_id[sid].name,
+                    "language": target,
+                    "score": score * factor,
+                    "provenance": [provenance[key] for key in sorted(provenance)],
+                    "requester_language_labels": sorted(labels),
+                })
+        return sorted(results, key=lambda r: (-r["score"], r["service_id"]))
+
+    results = search(matched)
+    expanded = not results and bool(matched)
+    if expanded:
+        near = {
+            rel.target for tid in matched for rel in portion.terms[tid].relations
+            if rel.kind in ("related", "broader")
+        }
+        results = search(matched + sorted(near - set(matched)))
+    return {
+        "detected": {"language": language, "confidence": 1.0, "method": "declared"},
+        "results": results,
+        "used_expansion": expanded,
+        "imports_triggered": [],
+    }
 
 
 # --- acceptance summary: one pass/fail line per criterion ---

@@ -58,6 +58,11 @@ class TestDetectCommand:
         assert code == 0
         assert capsys.readouterr().out.startswith("fr ")
 
+    def test_missing_profile_directory_fails(self, tmp_path, capsys):
+        assert main(["detect", "plain words", "--profiles", str(tmp_path / "absent")]) == 1
+        err = capsys.readouterr().err
+        assert "error: NoProfiles" in err and "does not exist" in err
+
     def test_empty_text_fails(self, capsys):
         assert main(["detect", "   "]) == 1
         assert "error: EmptyInput" in capsys.readouterr().err

@@ -162,6 +162,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(path, env={})
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1e10", "86400.5"])
+    def test_timeout_a_socket_cannot_take_is_refused(self, tmp_path, text):
+        # NaN makes settimeout raise ValueError, and inf or 1e10 OverflowError.
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"network_timeout": {text}}}', "utf-8")
+        with pytest.raises(ConfigError, match="network_timeout must be"):
+            load_config(path, env={})
+
+    def test_timeout_ceiling_is_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, {"network_timeout": 86_400}), env={})
+        assert cfg.network_timeout == 86_400.0
+
     def test_int_timeout_coerced_to_float(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"network_timeout": 3}), env={})
         assert cfg.network_timeout == 3.0
@@ -319,6 +331,16 @@ class TestAppState:
         state = make_state(tmp_path)
         assert state.health() == {"status": "ok", "services": 0, "portions": 0}
         assert (tmp_path / "data" / "seq").read_text("utf-8") == "0\n"
+
+    @pytest.mark.parametrize("make", ["missing", "empty", "script-only"])
+    def test_profile_dir_without_a_trigram_profile_stops_start_up(self, tmp_path, make):
+        profiles = tmp_path / "profiles"
+        if make != "missing":
+            profiles.mkdir()
+        if make == "script-only":
+            (profiles / "ar.txt").write_text("الجذر التربيعي لعدد سالب " * 10, "utf-8")
+        with pytest.raises(StartupError, match=re.escape(str(profiles))):
+            make_state(tmp_path, profile_dir=profiles)
 
     def test_publish_persists_and_restart_restores(self, tmp_path):
         state = make_state(tmp_path)

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polyfind.descriptor import OperationSig, ServiceDescriptor
 from polyfind.discovery import (
     Query,
     discover,
@@ -13,9 +16,21 @@ from polyfind.errors import (
     PortionUnavailable,
 )
 from polyfind.importer import ImportReport
-from polyfind.ontology import Relation, Term, TermId, add_terms, set_portion
+from polyfind.ontology import (
+    AlignmentLink,
+    Relation,
+    Term,
+    TermId,
+    TermRef,
+    add_alignment,
+    add_terms,
+    create_portion,
+    empty_store,
+    set_portion,
+)
+from polyfind.registry import RegistryStore, publish
 
-from conftest import build_fixture_registry, load_fixture_ontology
+from conftest import build_fixture_registry, load_fixture_ontology, oracle_discover
 
 SQ = TermId("math#square_root")
 
@@ -248,3 +263,113 @@ class TestResponseSerialization:
                 "service_id", "name", "language", "score", "provenance",
                 "requester_language_labels",
             }
+
+
+# --- the whole pipeline against its oracle ---
+
+# Each language's words, so that a service in another language is reached
+# only through a translation; "de" has services but no portion.
+_VOCABULARY = {
+    "ar": ("jathr", "murabba", "majmu", "awwali", "bahth", "sari"),
+    "en": ("root", "square", "sum", "prime", "search", "fast"),
+    "fr": ("racine", "carre", "somme", "premier", "recherche", "rapide"),
+    "de": ("wurzel", "summe", "suche"),
+}
+_PORTION_LANGS = ("ar", "en", "fr")
+_NOISE = ("banana", "kiwi")
+
+
+def _query(language):
+    """One to four words of `language` and noise words."""
+    pool = _VOCABULARY[language] + _NOISE
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def _portion(draw, language):
+    """At most 8 terms of domain d; each label is one or two plain words.
+    A broader edge points at a lower id, so no cycle forms."""
+    size = draw(st.integers(1, 8))
+    label = st.lists(st.sampled_from(_VOCABULARY[language]), min_size=1, max_size=2).map(" ".join)
+    terms = []
+    for i in range(size):
+        relations = []
+        for j in sorted(draw(st.sets(st.integers(0, size - 1), max_size=2)) - {i}):
+            kind = draw(st.sampled_from(["related", "broader"])) if j < i else "related"
+            relations.append(Relation(kind, TermId(f"d#t{j}")))
+        alts = tuple(draw(st.lists(label, max_size=2)))
+        terms.append(Term(TermId(f"d#t{i}"), draw(label), alts, relations=tuple(relations)))
+    return add_terms(create_portion("d", language), terms)
+
+
+@st.composite
+def _ontologies(draw):
+    """Three portions and random exact or close links; one language pair
+    may have none, so its terms are reached only through a pivot."""
+    store = empty_store()
+    for language in _PORTION_LANGS:
+        store = set_portion(store, draw(_portion(language)))
+    unlinked = draw(st.sampled_from([None, ("ar", "fr"), ("ar", "en"), ("en", "fr")]))
+    refs = [
+        TermRef(tid, language) for language in _PORTION_LANGS
+        for tid in store.portions[("d", language)].terms
+    ]
+    links = []
+    for _ in range(draw(st.integers(0, 24))):
+        a, b = draw(st.sampled_from(refs)), draw(st.sampled_from(refs))
+        if a.lang == b.lang or tuple(sorted((a.lang, b.lang))) == unlinked:
+            continue
+        relation = draw(st.sampled_from(["exact", "close"]))
+        confidence = draw(st.sampled_from([1.0, 0.9, 0.75, 0.5, 0.3]))
+        links.append(AlignmentLink(a, b, relation, confidence))
+    return add_alignment(store, *links)
+
+
+@st.composite
+def _services(draw):
+    """At most 12 descriptors. Each language's services use some of its
+    words, so a term may reach no service and leave expansion to find one."""
+    used = {
+        language: sorted(draw(st.sets(st.sampled_from(words), min_size=1))) + [*_NOISE]
+        for language, words in _VOCABULARY.items()
+    }
+    services = []
+    for _ in range(draw(st.integers(1, 12))):
+        language = draw(st.sampled_from([*_VOCABULARY]))
+        words = st.sampled_from(used[language])
+        text = st.lists(words, max_size=4).map(" ".join)
+        operations = [OperationSig(draw(words), draw(text)) for _ in range(draw(st.integers(1, 2)))]
+        services.append(ServiceDescriptor(
+            name="".join(w.capitalize() for w in draw(st.lists(words, min_size=1, max_size=2))),
+            documentation=draw(text),
+            language=language,
+            endpoint="https://example.org/s",
+            provider="prov",
+            operations=tuple(operations),
+        ))
+    return services
+
+
+class TestAgainstTheOracle:
+    @given(
+        _ontologies(),
+        _services(),
+        st.sampled_from(_PORTION_LANGS).flatmap(
+            lambda language: st.tuples(st.just(language), _query(language))
+        ),
+    )
+    def test_response_equals_the_oracle(self, ontology, services, query):
+        language, text = query
+        registry_store = RegistryStore()
+        for descriptor in services:
+            registry_store, _ = publish(registry_store, descriptor)
+        got = response_to_dict(
+            run(text, ontology, registry_store, domain="d", declared_language=language)
+        )
+        want = oracle_discover(ontology, registry_store.descriptors, text, "d", language)
+        got_scores = [entry.pop("score") for entry in got["results"]]
+        want_scores = [entry.pop("score") for entry in want["results"]]
+        assert got == want
+        assert all(
+            math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got_scores, want_scores)
+        )

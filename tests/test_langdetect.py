@@ -253,6 +253,21 @@ class TestCorpusLoading:
         loaded = load_profiles(tmp_path)
         assert sorted(p.language for p in loaded) == ["en", "fr"]
 
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(NoProfiles, match="does not exist"):
+            load_profiles(tmp_path / "absent")
+
+    def test_empty_directory_rejected(self, tmp_path):
+        with pytest.raises(NoProfiles, match="no profile"):
+            load_profiles(tmp_path)
+
+    def test_script_exclusive_profiles_alone_rejected(self, tmp_path):
+        # The script rule decides Arabic, so detection would have no
+        # profile for any other text.
+        (tmp_path / "ar.txt").write_text("الجذر التربيعي لعدد سالب " * 10, "utf-8")
+        with pytest.raises(NoProfiles, match="no profile"):
+            load_profiles(tmp_path)
+
     def test_duplicate_language_rejected(self, tmp_path):
         (tmp_path / "en.txt").write_text("the cat sat on the mat and slept " * 5, "utf-8")
         profile = build_profile("the dog sat on the log and slept " * 5, "en")

@@ -2,11 +2,14 @@ import math
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyfind import langdetect, mapping, ontology, registry, textutil
-from polyfind.errors import EmptyQuery, UnknownTerm
+from polyfind.errors import UnknownTerm
 from polyfind.mapping import expand_terms, match_keywords, path_to_dict, translate
 from polyfind.ontology import (
     AlignmentLink,
@@ -42,50 +45,52 @@ def en_portion():
     return load_portion(PORTION_FILES[1].read_bytes())
 
 
+_EN_WORDS = ["square", "root", "finding", "negative", "number", "sqrt", "of", "banana"]
+
+
 class TestMatchKeywords:
     def test_bigram_preferred_label(self, en_portion):
-        matches, unmatched = match_keywords(["square", "root"], en_portion)
-        assert [(m.term, m.match_kind, m.keyword) for m in matches] == [
-            (SQ, "preferred", "square root")
-        ]
-        assert unmatched == []
+        assert match_keywords(["square", "root"], en_portion) == ([SQ], [])
 
     def test_alt_label_single_word(self, en_portion):
-        matches, unmatched = match_keywords(["fast", "sqrt"], en_portion)
-        assert [(m.term, m.match_kind) for m in matches] == [(SQ, "alt")]
-        assert unmatched == ["fast"]
+        assert match_keywords(["fast", "sqrt"], en_portion) == ([SQ], ["fast"])
 
     def test_no_match_keeps_keyword(self, en_portion):
-        matches, unmatched = match_keywords(["banana"], en_portion)
-        assert matches == []
-        assert unmatched == ["banana"]
-
-    def test_empty_input(self, en_portion):
-        with pytest.raises(EmptyQuery):
-            match_keywords([], en_portion)
+        assert match_keywords(["banana"], en_portion) == ([], ["banana"])
 
     def test_bigram_shadows_unigram(self):
         portion = add_terms(
             create_portion("d", "en"),
             [Term(TermId("d#a"), "square root"), Term(TermId("d#b"), "square")],
         )
-        matches, unmatched = match_keywords(["square", "root"], portion)
-        assert [m.term for m in matches] == [TermId("d#a")]
-        assert unmatched == []
+        assert match_keywords(["square", "root"], portion) == ([TermId("d#a")], [])
 
     def test_case_and_diacritics_normalized(self, en_portion):
-        matches, _ = match_keywords(["SQUARE", "Root"], en_portion)
-        assert [m.term for m in matches] == [SQ]
+        terms, _ = match_keywords(["SQUARE", "Root"], en_portion)
+        assert terms == [SQ]
 
-    def test_conservation(self, en_portion):
-        keywords = ["square", "root", "of", "number", "sqrt", "banana"]
-        matches, unmatched = match_keywords(keywords, en_portion)
-        consumed = sum(len(m.keyword.split()) for m in matches)
-        assert consumed + len(unmatched) == len(keywords)
+    def test_each_term_once_in_first_match_order(self, en_portion):
+        keywords = ["number", "sqrt", "square", "root", "number"]
+        assert match_keywords(keywords, en_portion) == ([NUM, SQ], [])
 
-    def test_language_tag_carried(self, en_portion):
-        matches, _ = match_keywords(["sqrt"], en_portion)
-        assert matches[0].language == "en"
+    @given(st.lists(st.sampled_from(_EN_WORDS), max_size=8))
+    def test_conservation(self, en_portion, keywords):
+        terms, unmatched = match_keywords(keywords, en_portion)
+        lookup = partial(ontology.lookup_label_kinds, en_portion)
+        # No unmatched keyword is a label, and they come back in query order.
+        assert not any(lookup(word) for word in unmatched)
+        rest = iter(keywords)
+        assert all(word in rest for word in unmatched)
+        # Every id is a hit of a word or of two adjacent words, listed once.
+        phrases = [*keywords, *map(" ".join, zip(keywords, keywords[1:]))]
+        assert set(terms) <= {tid for phrase in phrases for tid in lookup(phrase)}
+        assert len(terms) == len(set(terms))
+        # No label word is lost: its own hit, or that of a phrase with a
+        # neighbour, is in the result.
+        for i, word in enumerate(keywords):
+            pairs = [" ".join(keywords[j:j + 2]) for j in (i - 1, i) if 0 <= j < len(keywords) - 1]
+            hits = [set(lookup(phrase)) for phrase in (word, *pairs) if lookup(phrase)]
+            assert not lookup(word) or any(ids <= set(terms) for ids in hits)
 
 
 class TestLookupCost:

@@ -148,18 +148,18 @@ class TestAddLabel:
 
 class TestLookupLabel:
     def test_preferred_case_insensitive(self):
-        assert lookup_label_kinds(small_portion(), "Square Root") == [(SQ, "preferred")]
+        assert lookup_label_kinds(small_portion(), "Square Root") == (SQ,)
 
     def test_alt_label_kind(self):
-        assert lookup_label_kinds(small_portion(), "sqrt") == [(SQ, "alt")]
+        assert lookup_label_kinds(small_portion(), "sqrt") == (SQ,)
 
     def test_arabic_fixture_label(self):
         portion = load_portion(PORTION_FILES[0].read_bytes())
         assert portion.language == "ar"
-        assert lookup_label_kinds(portion, "الجذر التربيعي") == [(SQ, "preferred")]
+        assert lookup_label_kinds(portion, "الجذر التربيعي") == (SQ,)
 
     def test_no_match(self):
-        assert lookup_label_kinds(small_portion(), "banana") == []
+        assert lookup_label_kinds(small_portion(), "banana") == ()
 
     def test_whitespace_invariant(self):
         portion = small_portion()
@@ -171,16 +171,10 @@ class TestLookupLabel:
 def brute_force_lookup(portion, label):
     """The sorted full scan that the label index replaced: the oracle."""
     key = normalize_text(label)
-    if not key:
-        return []
-    hits = []
-    for tid in sorted(portion.terms, key=str):
-        term = portion.terms[tid]
-        if normalize_text(term.preferred_label) == key:
-            hits.append((tid, "preferred"))
-        elif any(normalize_text(alt) == key for alt in term.alt_labels):
-            hits.append((tid, "alt"))
-    return hits
+    return tuple(
+        tid for tid in sorted(portion.terms, key=str)
+        if any(normalize_text(held) == key for held in portion.terms[tid].labels())
+    )
 
 
 # Labels that collide after normalization: case, whitespace runs, Arabic
@@ -228,19 +222,19 @@ class TestLabelIndex:
             Term(b, "root", ("Root", "root")),
             Term(a, "radix", ("ROOT",)),
         ])
-        assert lookup_label_kinds(portion, "root") == [(a, "alt"), (b, "preferred")]
+        assert lookup_label_kinds(portion, "root") == (a, b)
 
     def test_edited_portion_sees_the_edit(self):
         portion = small_portion()
-        assert lookup_label_kinds(portion, "radix") == []  # builds the index
+        assert lookup_label_kinds(portion, "radix") == ()  # builds the index
         new = TermId("math#radix")
         replaced = replace(portion, terms={**portion.terms, new: Term(new, "radix")})
-        assert lookup_label_kinds(replaced, "radix") == [(new, "preferred")]
+        assert lookup_label_kinds(replaced, "radix") == (new,)
         added = add_terms(portion, [Term(new, "radix")])
-        assert lookup_label_kinds(added, "radix") == [(new, "preferred")]
+        assert lookup_label_kinds(added, "radix") == (new,)
         labelled = add_label(portion, SQ, "Radix")
-        assert lookup_label_kinds(labelled, "radix") == [(SQ, "alt")]
-        assert lookup_label_kinds(portion, "radix") == []
+        assert lookup_label_kinds(labelled, "radix") == (SQ,)
+        assert lookup_label_kinds(portion, "radix") == ()
 
 
 class TestTermTokens:
@@ -853,22 +847,10 @@ class TestLoadOverBase:
         changed = [tid for tid in portion.terms if portion.terms[tid] is not base.terms[tid]]
         assert changed == [sorted(base.terms, key=str)[0]]
         assert "label_index" in vars(portion) and "term_tokens" in vars(portion)
-        assert lookup_label_kinds(portion, "radix") == [(changed[0], "alt")]
+        assert lookup_label_kinds(portion, "radix") == (changed[0],)
         assert portion.term_tokens[changed[0]][-1] == "radix"
         assert (portion, portion.label_index) == load_outcome(lambda: load_portion(body))
         assert portion.term_tokens == load_portion(body).term_tokens
-
-    def test_a_one_edit_body_compares_only_the_edited_term(self, monkeypatch):
-        base = load_portion(PORTION_FILES[1].read_bytes())
-        body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("Radix"))
-        save_portion(base)  # the base's encodings exist, as after a GET or a put
-        compared = []
-        to_dict = ontology._term_to_dict
-        monkeypatch.setattr(
-            ontology, "_term_to_dict", lambda term: compared.append(term.id) or to_dict(term)
-        )
-        load_portion(body, base=base)
-        assert compared == [sorted(base.terms, key=str)[0]]
 
     def test_a_dropped_term_takes_the_full_check(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())
