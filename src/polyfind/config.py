@@ -10,7 +10,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, MalformedDocument, SchemaViolation
-from .importer import RemoteRepoRef
+from .importer import DEFAULT_TIMEOUT, RemoteRepoRef
 from .textutil import DIGITS_RE, check_fields, load_json
 
 DATA_DIR_ENV = "MOS_DATA_DIR"
@@ -36,7 +36,7 @@ class ServerConfig:
     data_dir: Path = Path("data")
     profile_dir: Path | None = None  # None: use the packaged corpora
     remote_repos: tuple[RemoteRepoRef, ...] = ()
-    network_timeout: float = 10.0
+    network_timeout: float = DEFAULT_TIMEOUT
 
 
 def _read_document(raw: Path) -> dict:
@@ -49,7 +49,8 @@ def _read_document(raw: Path) -> dict:
     return doc
 
 
-def _parse_listen(value: str) -> tuple[str, int]:
+def _parse_listen(value: str) -> dict:
+    """The port of a 'host:port' text, and its host when it names one."""
     if ":" not in value:
         raise ConfigError(f"listen must be 'host:port', got {value!r}")
     host, _, port_text = value.rpartition(":")
@@ -58,7 +59,7 @@ def _parse_listen(value: str) -> tuple[str, int]:
     port = int(port_text)
     if port > 65535:
         raise ConfigError(f"listen port {port} out of range")
-    return host or "127.0.0.1", port
+    return {"host": host, "port": port} if host else {"port": port}
 
 
 def _check_base_url(url: str, i: int) -> str:
@@ -87,38 +88,31 @@ def load_config(path: Path | str | None = None, env: Mapping[str, str] | None = 
             raise ConfigError(f"config file {raw} does not exist")
         doc = _read_document(raw)
 
-    host, port = ("127.0.0.1", 8080)
+    # ServerConfig's fields hold every default; only what the file or the
+    # environment sets is passed.
+    fields: dict = {}
     if "listen" in doc:
-        host, port = _parse_listen(doc["listen"])
-
-    data_dir = Path(doc.get("data_dir", "data"))
-    if env.get(DATA_DIR_ENV):
-        data_dir = Path(env[DATA_DIR_ENV])
-
-    profile_dir = None
+        fields.update(_parse_listen(doc["listen"]))
+    data_dir = env.get(DATA_DIR_ENV) or doc.get("data_dir")
+    if data_dir is not None:
+        fields["data_dir"] = Path(data_dir)
     if doc.get("profile_dir") is not None:
-        profile_dir = Path(doc["profile_dir"])
+        fields["profile_dir"] = Path(doc["profile_dir"])
 
     repos = []
-    seen_names = set()
     for i, entry in enumerate(doc.get("remote_repos", [])):
-        if entry["name"] in seen_names:
+        if any(repo.name == entry["name"] for repo in repos):
             raise ConfigError(f"duplicate remote repo name {entry['name']!r}")
-        seen_names.add(entry["name"])
         repos.append(RemoteRepoRef(entry["name"], _check_base_url(entry["base_url"], i)))
+    if repos:
+        fields["remote_repos"] = tuple(repos)
 
-    timeout = doc.get("network_timeout", 10.0)
-    if not 0 < timeout <= MAX_NETWORK_TIMEOUT:  # NaN fails every comparison
-        raise ConfigError(
-            f"network_timeout must be a positive number of seconds up to "
-            f"{MAX_NETWORK_TIMEOUT:g}, got {timeout!r}"
-        )
-
-    return ServerConfig(
-        host=host,
-        port=port,
-        data_dir=data_dir,
-        profile_dir=profile_dir,
-        remote_repos=tuple(repos),
-        network_timeout=float(timeout),
-    )
+    if "network_timeout" in doc:
+        timeout = doc["network_timeout"]
+        if not 0 < timeout <= MAX_NETWORK_TIMEOUT:  # NaN fails every comparison
+            raise ConfigError(
+                f"network_timeout must be a positive number of seconds up to "
+                f"{MAX_NETWORK_TIMEOUT:g}, got {timeout!r}"
+            )
+        fields["network_timeout"] = float(timeout)
+    return ServerConfig(**fields)

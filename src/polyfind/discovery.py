@@ -9,13 +9,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping
 
 from . import registry as reg
-from .errors import (
-    EmptyInput,
-    EmptyQuery,
-    DetectionFailed,
-    NoProfiles,
-    PortionUnavailable,
-)
+from .errors import EmptyQuery, DetectionFailed, NoProfiles, PortionUnavailable
 from .importer import ImportReport
 from .langdetect import DetectionResult, TrigramProfile, detect
 from .mapping import TranslationPath, expand_terms, match_keywords, path_to_dict, translate
@@ -78,7 +72,8 @@ def _token_sources(
     store: OntologyStore,
 ) -> dict[str, list[_TokenSource]]:
     """For one registry language, every searchable token with where it came
-    from: a term's words are the ones its portion keeps (term_tokens)."""
+    from: a term's words are the ones its portion keeps (term_tokens). Every
+    term and path target is held, as the store keeps no link to a lost term."""
     sources: dict[str, list[_TokenSource]] = {}
     for keyword in raw_keywords:
         sources.setdefault(keyword, []).append(_TokenSource(keyword, None, None, 1.0, ()))
@@ -89,10 +84,7 @@ def _token_sources(
         else:
             reached = [(path.target, path) for path in translate(ref, target_lang, store)]
         for target, path in reached:
-            portion = store.portions.get((target.term.domain, target.lang))
-            words = None if portion is None else portion.term_tokens.get(target.term)
-            if words is None:
-                continue
+            words = store.portions[target.term.domain, target.lang].term_tokens[target.term]
             if path is None:
                 source = _TokenSource(term, term, None, 1.0, ())
             else:
@@ -160,8 +152,6 @@ def discover(
         raise EmptyQuery("query text has no usable words")
     try:
         detected = detect(query.text, tuple(profiles), declared=query.declared_language)
-    except EmptyInput as exc:
-        raise EmptyQuery(str(exc)) from exc
     except NoProfiles as exc:
         raise DetectionFailed(str(exc)) from exc
     language = detected.language

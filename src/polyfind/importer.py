@@ -38,8 +38,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT = 10.0
 
-OUTCOMES = ("imported", "upgraded", "already_current", "rejected")
-
 
 @dataclass(frozen=True)
 class RemoteRepoRef:
@@ -52,7 +50,7 @@ class ImportReport:
     repo: str
     domain: str
     language: str
-    outcome: str  # one of OUTCOMES
+    outcome: str  # "imported", "upgraded", "already_current" or "rejected"
     version_before: int | None
     version_after: int | None
     detail: str = ""
@@ -117,6 +115,7 @@ def merge_portion(store: OntologyStore, fetched: FetchedPortion) -> tuple[Ontolo
     Version policy against the local portion, if any: newer wins
     (upgraded), absent is inserted (imported), same version with equal
     content is a no-op (already_current), anything else is rejected.
+    The store given is returned unless the portion was imported or upgraded.
     Alignment links whose endpoints do not resolve after the merge are
     dropped; structurally invalid remote content raises ValidationFailed
     and leaves the store untouched.

@@ -107,13 +107,11 @@ def _paths_by_language(
     for link in outgoing:
         found.setdefault(link.target.lang, []).append(_path(ref, (link,)))
     direct = set(found)
+    # A link joins two languages, so a hop never ends where it starts.
     for first in outgoing:
-        mid = first.target
-        if mid == ref:
-            continue
-        for second in links_from(store, mid):
+        for second in links_from(store, first.target):
             end = second.target
-            if end == ref or end == mid or end.lang in direct:
+            if end == ref or end.lang in direct:
                 continue
             found.setdefault(end.lang, []).append(_path(ref, (first, second)))
     return {lang: tuple(sorted(paths, key=_path_sort_key)) for lang, paths in found.items()}

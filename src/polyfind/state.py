@@ -231,11 +231,11 @@ class AppState:
 
     def publish_descriptor(self, document: bytes) -> str:
         descriptor = parse_descriptor(document)
+        # The stored form holds no service id, so it is made before one is handed out.
+        data = serialize_descriptor(descriptor)
         with self._lock:
             new_registry, service_id = reg.publish(self._snapshot.registry, descriptor)
-            published = new_registry.descriptors[service_id]
-            path = _services_dir(self.data_dir) / f"{service_id}.xml"
-            atomic_write_bytes(path, serialize_descriptor(published))
+            atomic_write_bytes(_services_dir(self.data_dir) / f"{service_id}.xml", data)
             atomic_write_bytes(self.data_dir / "seq", f"{new_registry.last_seq}\n".encode())
             self._snapshot = Snapshot(self._snapshot.ontology, new_registry)
         return service_id
@@ -263,31 +263,32 @@ class AppState:
 
     def import_portion(
         self, repo_name: str, domain: str, language: str, wait: bool = True
-    ) -> imp.ImportReport:
+    ) -> imp.ImportReport | None:
         """Fetch outside the lock, merge+persist+swap inside it.
 
-        Imports of the same (domain, language) are serialized; with
-        wait=False a concurrent second call raises ImportInProgress.
+        One import of a (domain, language) runs at a time. A call that finds
+        one running raises ImportInProgress with wait=False; with wait=True it
+        waits for that import to end and returns None, fetching nothing.
         """
         repo = self.find_repo(repo_name)
         key = (domain, language)
-        event = threading.Event()
-        while True:
-            with self._lock:
-                current = self._imports_in_flight.get(key)
-                if current is None:
-                    self._imports_in_flight[key] = event
-                    break
+        with self._lock:
+            running = self._imports_in_flight.get(key)
+            if running is None:
+                event = self._imports_in_flight[key] = threading.Event()
+        if running is not None:
             if not wait:
                 raise ImportInProgress(f"import of {domain}.{language} already running")
-            current.wait()
+            running.wait()
+            return None
         try:
             fetched = imp.fetch_portion_docs(
                 repo, domain, language, timeout=self.config.network_timeout
             )
             with self._lock:
-                merged, report = imp.merge_portion(self._snapshot.ontology, fetched)
-                if report.outcome in ("imported", "upgraded"):
+                store = self._snapshot.ontology
+                merged, report = imp.merge_portion(store, fetched)
+                if merged is not store:
                     self._commit_portion(merged, merged.portions[key])
             return report
         finally:
@@ -309,7 +310,10 @@ class AppState:
                     "import of %s.%s from %r failed: %s", domain, language, repo.name, exc
                 )
                 continue
-            reports.append(report)
+            if report is not None:
+                reports.append(report)
+            # A failed import that this call waited for is tried again only
+            # at the next repository.
             if (domain, language) in self._snapshot.ontology.portions:
                 break
         return self._snapshot.ontology, tuple(reports)

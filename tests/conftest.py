@@ -40,9 +40,8 @@ from polyfind.ontology import (
 from polyfind.registry import FIELD_WEIGHTS, RegistryStore, publish
 from polyfind.textutil import normalize_text, split_words
 
-# Tier-1 runs hypothesis with its default settings; CI also runs the ontology,
-# mapping, discovery, text, descriptor, registry and language detection tests,
-# and the API's any-request property, with `--hypothesis-profile=ci`.
+# Tier-1 runs hypothesis with its default settings; CI also runs the whole
+# suite with `--hypothesis-profile=ci`.
 settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -176,6 +175,29 @@ def _serve_repo(handler):
 def repo_server():
     with _serve_repo(partial(_QuietHandler, directory=str(REPO_ROOT))) as (url, _):
         yield url
+
+
+class _HeldHandler(_QuietHandler):
+    """Serves the fixture repository and records each path; a portion GET
+    waits first until the server's release event is set."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        if self.path.startswith("/portions/"):
+            self.server.release.wait(timeout=30)
+        super().do_GET()
+
+
+@pytest.fixture()
+def held_repo():
+    """The fixture repository with portion GETs held back; yields (base URL,
+    requested paths, the event that lets them through)."""
+    with _serve_repo(partial(_HeldHandler, directory=str(REPO_ROOT))) as (url, httpd):
+        httpd.paths, httpd.release = [], threading.Event()
+        try:
+            yield url, httpd.paths, httpd.release
+        finally:
+            httpd.release.set()
 
 
 class _TruncatingHandler(http.server.BaseHTTPRequestHandler):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import threading
+import time
 from collections.abc import Mapping
 from dataclasses import replace
 from functools import cached_property
@@ -464,6 +465,36 @@ class TestAppState:
         assert [r.outcome for r in response.imports_triggered] == ["imported"]
         assert ("math", "en") in state.snapshot().ontology.portions
         assert response.results
+
+    def test_concurrent_discovers_share_one_fetch(self, tmp_path, held_repo):
+        url, paths, release = held_repo
+        state = make_state(tmp_path, remote_repos=(RemoteRepoRef("fixture", url),))
+        for path in DESCRIPTOR_FILES:
+            state.publish_descriptor(path.read_bytes())
+        responses = []
+        threads = [
+            threading.Thread(target=lambda: responses.append(
+                state.discover(Query("racine carrée", "math", "alice", "fr"))
+            ))
+            for _ in range(3)
+        ]
+        threads[0].start()
+        deadline = time.monotonic() + 10
+        while not paths and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for thread in threads[1:]:
+            thread.start()
+        time.sleep(0.3)  # the other two find the import running and wait for it
+        release.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert paths == ["/portions/math.fr.json", "/alignments/math.json"]
+        assert len(responses) == 3
+        fr_results = responses[0].results
+        assert fr_results and {entry.language for entry in fr_results} == {"fr"}
+        assert all(response.results == fr_results for response in responses)
+        outcomes = [r.outcome for response in responses for r in response.imports_triggered]
+        assert outcomes == ["imported"]
 
     @pytest.mark.parametrize("broken", ["down", "truncating"])
     def test_discover_skips_a_broken_repo(self, tmp_path, truncating_repo, broken):

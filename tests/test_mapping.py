@@ -371,3 +371,53 @@ class TestExpandTerms:
         out = expand_terms([SQ, OP, RF], en_portion)
         assert not ({SQ, OP, RF} & set(out))
         assert set(out) <= set(en_portion.terms)
+
+
+def _replacement_portion(rng, lang):
+    """A portion of domain d in `lang` over a random subset of t0..t15 (so a
+    replace may drop linked terms), with related and broader edges from each
+    term to earlier ones only, so no broader cycle forms."""
+    ids = [TermId(f"d#t{i}") for i in sorted(rng.sample(range(16), rng.randint(1, 8)))]
+    terms = [
+        Term(tid, f"term {tid.local}", relations=tuple(
+            Relation(rng.choice(("related", "broader")), target)
+            for target in rng.sample(ids[:n], rng.randint(0, min(2, n)))
+        ))
+        for n, tid in enumerate(ids)
+    ]
+    return add_terms(create_portion("d", lang), terms)
+
+
+class TestHeldTargets:
+    """Every translation-path target and every expanded term names a term the
+    store holds, after any sequence of link upserts and portion replaces:
+    discovery reads those terms' words without a check."""
+
+    @given(st.lists(st.integers(0, 2**32), min_size=1, max_size=8), st.integers(0, 2**32))
+    def test_after_random_links_and_replaces(self, steps, seed):
+        store, langs, _ = random_alignment_store(random.Random(seed))
+        for step in steps:
+            rng = random.Random(step)
+            if rng.random() < 0.5:
+                store = set_portion(store, _replacement_portion(rng, rng.choice(langs)))
+            else:
+                source, target = (store.portions["d", lang] for lang in rng.sample(langs, 2))
+                store = add_alignment(store, AlignmentLink(
+                    TermRef(rng.choice(sorted(source.terms)), source.language),
+                    TermRef(rng.choice(sorted(target.terms)), target.language),
+                    rng.choice(("exact", "close")),
+                    1.0,
+                ))
+            # Fill part of the translation memo, which a replace may keep.
+            for portion in store.portions.values():
+                for tid in rng.sample(sorted(portion.terms), min(3, len(portion.terms))):
+                    translate(TermRef(tid, portion.language), rng.choice(langs), store)
+        for (_, lang), portion in store.portions.items():
+            tids = sorted(portion.terms)
+            for tid in tids:
+                for target_lang in langs:
+                    for path in translate(TermRef(tid, lang), target_lang, store):
+                        for hop in path.hops:
+                            assert ontology.resolve(store, hop.target) is not None
+            for tid in expand_terms(tids[: len(tids) // 2], portion):
+                assert tid in portion.terms
