@@ -181,11 +181,12 @@ class ApiHandler(BaseHTTPRequestHandler):
         portion = self.app.snapshot().ontology.portions.get((domain, language))
         if portion is None:
             raise PortionNotFound(f"no portion {domain}.{language}")
-        # The file's bytes without the newline: what _send_json would send.
+        # The portion's kept file bytes without the newline: what _send_json would send.
         self._send_body(200, save_portion(portion)[:-1])
 
     def handle_put_portion(self, domain: str, language: str):
-        # The held portion only spares re-checking the terms the body repeats.
+        # The held portion only saves work: the terms the body repeats are
+        # neither decoded, checked nor encoded again.
         base = self.app.snapshot().ontology.portions.get((domain, language))
         portion = load_portion(_read_body(self), base=base)
         if portion.domain != domain or portion.language != language:

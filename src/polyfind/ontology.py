@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -96,13 +96,6 @@ class Term:
     def labels(self) -> tuple[str, ...]:
         return (self.preferred_label, *self.alt_labels)
 
-    @cached_property
-    def canonical_text(self) -> str:
-        """The term as save_portion writes it; built on first use. A portion
-        loaded over a base keeps the base's Term objects, and so their
-        encodings, for every term it does not change."""
-        return json.dumps(_term_to_dict(self), ensure_ascii=False)
-
 
 @dataclass(frozen=True)
 class OntologyPortion:
@@ -138,6 +131,12 @@ class OntologyPortion:
         """Term id -> the distinct words of its labels, first seen first;
         built on first use."""
         return {tid: _label_words(term) for tid, term in self.terms.items()}
+
+    @cached_property
+    def saved(self) -> bytes:
+        """save_portion's bytes, built on first use. A portion loaded over
+        a base gets them spliced from the base's instead (load_portion)."""
+        return (json.dumps(portion_to_dict(self), ensure_ascii=False) + "\n").encode()
 
 
 def _label_words(term: Term) -> tuple[str, ...]:
@@ -355,8 +354,7 @@ def _term_to_dict(term: Term) -> dict:
 
 
 def portion_to_dict(portion: OntologyPortion) -> dict:
-    """The portion as a JSON-ready dict: the definition that save_portion's
-    bytes, built from the terms' kept encodings, are tested against."""
+    """The portion as a JSON-ready dict, which save_portion's bytes encode."""
     return {
         "domain": portion.domain,
         "language": portion.language,
@@ -365,24 +363,24 @@ def portion_to_dict(portion: OntologyPortion) -> dict:
     }
 
 
-def _portion_head(domain: str, language: str) -> str:
+def _portion_head(domain: str, language: str) -> bytes:
     """What save_portion writes before the version. Both names are checked
     identifiers, which JSON writes as they are."""
-    return f'{{"domain": "{domain}", "language": "{language}", "version": '
+    return f'{{"domain": "{domain}", "language": "{language}", "version": '.encode()
 
 
-_TERMS_OPEN = ', "terms": ['  # what save_portion writes after the version
+_TERMS_OPEN = b', "terms": ['  # what save_portion writes after the version
+# What starts each term in save_portion's bytes, and nothing else there:
+# json escapes every '"' inside a string.
+_TERM_START = b'{"id": "'
 
 
 def save_portion(portion: OntologyPortion) -> bytes:
     """Compact canonical serialization: terms sorted by id, stable key order;
     the loader reads any layout. The bytes are those of
-    json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\n": the
-    compact encoder joins list members with ", ", so the terms' own
-    encodings are joined the same way and only terms without one are encoded."""
-    head = _portion_head(portion.domain, portion.language)
-    terms = ", ".join(portion.terms[tid].canonical_text for tid in sorted(portion.terms))
-    return f"{head}{portion.version}{_TERMS_OPEN}{terms}]}}\n".encode()
+    json.dumps(portion_to_dict(portion), ensure_ascii=False) + "\\n", which
+    the portion keeps (OntologyPortion.saved)."""
+    return portion.saved
 
 
 # Document shapes; every key is required.
@@ -407,52 +405,127 @@ def _parse_term_id(value: str, path: str) -> TermId:
         raise SchemaViolation(path, str(exc)) from exc
 
 
-_VERSION_RE = re.compile(r"[1-9][0-9]*")
+_VERSION_RE = re.compile(rb"[1-9][0-9]*")
 
 
-def _scan_terms(data: bytes, base: OntologyPortion) -> tuple[int, list] | None:
-    """The version and term entries of a body laid out as save_portion lays
-    out a portion of base's domain and language, or None for any other body.
+class _Diff(NamedTuple):
+    """A body that repeats its base's saved bytes but for its version and
+    the span data[start:stop] of its terms, which close at data[end:]."""
 
-    Each entry is the base Term whose canonical text the body repeats at its
-    place, or else the element json decodes there. The base is walked in id
-    order, so a body that changes a few terms decodes only those; a decoded
-    element holding a base id moves the walk past that term. A body that is
-    not UTF-8 or JSON, or holds a surrogate escape, gives None: load_json
-    decides it."""
+    version: int
+    order: list[TermId]  # the held ids, sorted
+    before: int  # the body repeats the held terms of order[:before] before the span
+    after: int  # and those of order[after:] after it
+    entries: list  # what json decodes in the span
+    start: int
+    stop: int
+    end: int
+
+
+def _agreeing(same, n: int) -> int:
+    """The largest m <= n for which same(0, m) holds, by bisection;
+    same(lo, hi) compares one run of two byte strings, a C-speed slice
+    compare, and is only asked about runs after one that agrees."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if same(lo, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _id_at(held: bytes, at: int) -> str:
+    """The id of the held term that starts at held[at]; an id holds no '"'."""
+    start = at + len(_TERM_START)
+    return held[start:held.index(b'"', start)].decode()
+
+
+def _diff_held(data: bytes, base: OntologyPortion) -> _Diff | None:
+    """How a body laid out as save_portion lays out a portion of base's
+    domain and language differs from base's saved bytes, or None for any
+    other body.
+
+    The common prefix and suffix of the two term lists are found by
+    bisection and narrowed to whole held terms, each led by _TERM_START.
+    Only the span between them is decoded, and it must decode to whole
+    entries joined by ", ". A span over most of the held terms, as in a
+    body whose non-ASCII text is escaped, gives None; so does one that is
+    not UTF-8 or JSON, or holds a surrogate escape: load_json decides the
+    body."""
+    held = base.saved
+    head = _portion_head(base.domain, base.language)
+    version = _VERSION_RE.match(data, len(head)) if data.startswith(head) else None
+    if version is None or not data.startswith(_TERMS_OPEN, version.end()):
+        return None
+    start = version.end() + len(_TERMS_OPEN)
+    end = len(data.rstrip(b" \t\n\r")) - 2
+    if end < start or not data.startswith(b"]}", end):
+        return None
+    first = len(head) + len(str(base.version)) + len(_TERMS_OPEN)
+    last = len(held) - 3  # before "]}\n"
+    n = min(end - start, last - first)
+    p = _agreeing(lambda lo, hi: data[start + lo:start + hi] == held[first + lo:first + hi], n)
+    if p == last - first:  # every held term, then maybe more
+        q = last
+    else:
+        q = max(held.rfind(_TERM_START, first, first + p + len(_TERM_START)), first)
+    n -= q - first  # the suffix may not reach into the held terms kept before
+    s = _agreeing(lambda lo, hi: data[end - hi:end - lo] == held[last - hi:last - lo], n)
+    r = held.find(_TERM_START, last - s, last)
+    r = last if r < 0 else r
+    order = sorted(base.terms)
+    before = bisect_left(order, _id_at(held, q)) if q < last else len(order)
+    after = bisect_left(order, _id_at(held, r)) if r < last else len(order)
+    if 2 * (after - before) > len(order):
+        return None  # most held terms differ: patching them costs more than a full load
+    start, stop = start + q - first, end - (last - r)
     try:
-        text = data.decode("utf-8")
-        head = _portion_head(base.domain, base.language)
-        version = _VERSION_RE.match(text, len(head)) if text.startswith(head) else None
-        if (
-            version is None
-            or not text.startswith(_TERMS_OPEN, version.end())
-            or SURROGATE_ESCAPE_RE.search(text)
-        ):
+        text = data[start:stop].decode("utf-8")
+        if SURROGATE_ESCAPE_RE.search(text):
             return None
-        pos = version.end() + len(_TERMS_OPEN)
-        order = sorted(base.terms)
-        k = 0
+        lead = 0 < before == len(order)  # the span follows every held term
+        tail = after < len(order)  # held terms follow the span
+        if tail and text:  # then it ends in the ", " before them
+            if not text.endswith(", ") or text == ", ":
+                return None
+            text = text[:-2]
+        elif before and not lead and not tail and not text:
+            return None  # the body's terms would end in ", "
         decode = json.JSONDecoder().raw_decode
         entries: list = []
-        more = not text.startswith("]", pos)
-        while more:
-            old = base.terms[order[k]] if k < len(order) else None
-            if old is not None and text.startswith(old.canonical_text, pos):
-                entry, pos, k = old, pos + len(old.canonical_text), k + 1
-            else:
-                entry, pos = decode(text, pos)
-                tid = entry.get("id") if isinstance(entry, dict) else None
-                if isinstance(tid, str) and tid in base.terms:
-                    k = bisect_right(order, tid)
+        pos = 0
+        while pos < len(text):
+            if lead or entries:  # an entry that follows a term comes after ", "
+                if not text.startswith(", ", pos):
+                    return None
+                pos += 2
+            entry, pos = decode(text, pos)
             entries.append(entry)
-            more = text.startswith(", ", pos)
-            pos += 2 if more else 0
-        if not text.startswith("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
-            return None
-        return int(version[0]), entries
+        return _Diff(int(version[0]), order, before, after, entries, start, stop, end)
     except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError too
         return None
+
+
+def _spliced(data: bytes, diff: _Diff, changed: list[Term]) -> bytes | None:
+    """The saved bytes of the portion loaded from `data` over a base: the
+    body around its span, which repeats the base's saved bytes, with the
+    changed terms' encodings in between; None unless the changed terms are
+    in id order between the held terms around them."""
+    ids = [
+        *diff.order[max(diff.before - 1, 0):diff.before],
+        *(term.id for term in changed),
+        *diff.order[diff.after:diff.after + 1],
+    ]
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        return None
+    middle = json.dumps([_term_to_dict(term) for term in changed], ensure_ascii=False)[1:-1]
+    if changed and diff.after < len(diff.order):
+        middle += ", "
+    elif changed and 0 < diff.before == len(diff.order):
+        middle = ", " + middle
+    return b"".join((data[:diff.start], middle.encode(), data[diff.stop:diff.end], b"]}\n"))
 
 
 def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPortion:
@@ -461,38 +534,34 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
     `base`, an earlier result of this function such as the portion a server
     holds for the same (domain, language), only saves work: the result, or
     the error, is the one load_portion(data) gives. A body laid out as
-    save_portion writes it is decoded only where it differs from the base's
-    terms (_scan_terms), reusing the Term of every entry it repeats, and
-    every decoded entry counts as changed; see _rebased for the rest. Any
-    other body is loaded in full, the base ignored. The constructor's error
-    for a bad version, domain or language passes through."""
-    scanned = None if base is None else _scan_terms(data, base)
-    if scanned is None:
+    save_portion writes it is decoded only where its bytes differ from the
+    base's (_diff_held), reusing the Term of every held term around that
+    span, and every decoded entry counts as changed; see _rebased for the
+    rest. The result's saved bytes are then spliced (_spliced). Any other
+    body is loaded in full, the base ignored. The constructor's error for a
+    bad version, domain or language passes through."""
+    diff = None if base is None else _diff_held(data, base)
+    if diff is None:
         doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
         domain, language, version = doc["domain"], doc["language"], doc["version"]
-        entries = doc["terms"]
-        base = None
+        order, before, after, entries = [], [], [], doc["terms"]
     else:
-        domain, language = base.domain, base.language
-        version, entries = scanned
-    terms: dict[TermId, Term] = {}
+        domain, language, version, order = base.domain, base.language, diff.version, diff.order
+        before, after, entries = order[:diff.before], order[diff.after:], diff.entries
+    terms: dict[TermId, Term] = {tid: base.terms[tid] for tid in before}
     changed: list[Term] = []  # the terms not reused from base
-    # Each id text parsed once; targets share the keys, and the base's.
-    ids: dict[str, TermId] = {} if base is None else {tid: tid for tid in base.terms}
+    ids: dict[str, TermId] = {}  # each id text parsed once; targets share the keys
 
     def term_id(text: str, path: str) -> TermId:
+        """`text` as a TermId: the base's own key when it holds one."""
         tid = ids.get(text)
         if tid is None:
-            tid = ids[text] = _parse_term_id(text, path)
+            i = bisect_left(order, text)
+            held = order[i] if i < len(order) else None
+            tid = ids[text] = held if held == text else _parse_term_id(text, path)
         return tid
 
-    for i, entry in enumerate(entries):
-        if isinstance(entry, Term):
-            size = len(terms)
-            terms[entry.id] = entry
-            if len(terms) == size:
-                raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {entry.id}")
-            continue
+    for i, entry in enumerate(entries, len(before)):
         path = f"$.terms[{i}]"
         check_fields(entry, path, _TERM_FIELDS, {})
         tid = term_id(entry["id"], f"{path}.id")
@@ -518,9 +587,17 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
         )
         terms[tid] = term
         changed.append(term)
-    if base is None:
+    for i, tid in enumerate(after, len(before) + len(entries)):
+        if tid in terms:
+            raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {tid}")
+        terms[tid] = base.terms[tid]
+    if diff is None:
         return OntologyPortion(domain, language, version, terms)
-    return _rebased(base, domain, language, version, terms, changed)
+    portion = _rebased(base, domain, language, version, terms, changed)
+    spliced = _spliced(data, diff, changed)
+    if spliced is not None:
+        vars(portion)["saved"] = spliced  # the cached_property slot
+    return portion
 
 
 def _rebased(

@@ -147,15 +147,17 @@ def check_language(tag: str) -> str:
 
 def load_json(data: bytes) -> object:
     """Decode a UTF-8 JSON document; MalformedDocument when it is neither,
-    when it is nested deeper than the decoder's recursion can follow, or
-    when a string in it holds a lone surrogate, which no UTF-8 text can."""
+    when it is nested deeper than the decoder's recursion can follow, when
+    an integer in it has more digits than Python converts
+    (sys.get_int_max_str_digits), or when a string in it holds a lone
+    surrogate, which no UTF-8 text can."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the int-digit limit
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise MalformedDocument("not valid JSON: nested too deeply") from None

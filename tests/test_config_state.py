@@ -5,7 +5,6 @@ import threading
 import time
 from collections.abc import Mapping
 from dataclasses import replace
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -261,6 +260,10 @@ class TestLoadSnapshot:
         ("alignments/readme.txt", "hi", "unexpected file"),
         pytest.param("alignments/math.json", "[" * 100_000 + "]" * 100_000,
                      "corrupt alignment .*nested too deeply", id="alignment-nested-too-deeply"),
+        pytest.param("portions/math.de.json",
+                     '{"domain": "math", "language": "de", "version": 1%s, "terms": []}' % (
+                         "0" * 5000), "corrupt portion .*not valid JSON",
+                     id="portion-with-a-long-integer"),
         pytest.param("portions/math.de.json", json.dumps({
             "domain": "math", "language": "de", "version": 1, "terms": [{
                 "id": "math#a", "preferred_label": "a", "alt_labels": [], "definition": None,
@@ -548,6 +551,55 @@ def record_writes(monkeypatch):
     return written
 
 
+class TestFsyncBeforeReplace:
+    """Every file a write puts in place was fsynced before its rename: a
+    put with spliced bytes, a put that also rewrites an alignment file, and
+    a publish."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Each fsync and each replace, with the (device, inode) of the file."""
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def fsyncing(fd):
+            stat = os.fstat(fd)
+            events.append(("fsync", (stat.st_dev, stat.st_ino), None))
+            fsync(fd)
+
+        def replacing(src, dst):
+            stat = os.stat(src)
+            events.append(("replace", (stat.st_dev, stat.st_ino), Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsyncing)
+        monkeypatch.setattr(os, "replace", replacing)
+        return events
+
+    def test_each_replaced_file_was_fsynced_first(self, tmp_path, monkeypatch):
+        fixture_data_dir(tmp_path)
+        state = make_state(tmp_path)
+        held = state.snapshot().ontology.portions[("math", "en")]
+        doc = json.loads(onto.save_portion(held))
+        doc["terms"][1]["alt_labels"].append("radix")
+        doc["version"] += 1
+        spliced = load_portion(json.dumps(doc, ensure_ascii=False).encode(), base=held)
+        assert "saved" in vars(spliced)
+        events = self.record(monkeypatch)
+        state.put_portion(spliced)
+        state.put_portion(en_portion(drop_negative_number=True))
+        state.publish_descriptor(DESCRIPTOR_FILES[0].read_bytes())
+        fsynced, replaced = set(), []
+        for kind, inode, name in events:
+            if kind == "fsync":
+                fsynced.add(inode)
+            else:
+                assert inode in fsynced, f"{name} replaced without an fsync"
+                fsynced.discard(inode)  # a later file may reuse the inode
+                replaced.append(name)
+        assert replaced == ["math.en.json", "math.en.json", "math.json", "s-000001.xml", "seq"]
+
+
 class TestAlignmentFiles:
     def test_put_that_prunes_no_link_writes_only_the_portion(self, tmp_path, monkeypatch):
         fixture_data_dir(tmp_path)
@@ -745,47 +797,63 @@ class CountedLinks(Mapping):
 
 
 class TestPutCost:
-    """What a put pays, counted rather than timed: the terms it encodes and
-    whether set_portion walks the alignment links."""
+    """What a put pays, counted rather than timed: the JSON values it
+    decodes, the terms it encodes, and whether set_portion walks the
+    alignment links."""
 
     @staticmethod
-    def one_edit(state):
-        """The held en portion with one alt label more, laid out as GET
-        /portions sends it and loaded over it as the server loads a put."""
-        held = state.snapshot().ontology.portions[("math", "en")]
-        doc = onto.portion_to_dict(held)
-        doc["terms"][0]["alt_labels"].append("radix")
+    def one_edit(held, at):
+        """The held portion's bytes, laid out as GET /portions sends them,
+        with one alt label more on its term `at` and the next version."""
+        doc = json.loads(onto.save_portion(held))
+        doc["terms"][at]["alt_labels"].append("radix")
         doc["version"] += 1
-        return load_portion(json.dumps(doc, ensure_ascii=False).encode(), base=held)
+        return json.dumps(doc, ensure_ascii=False).encode()
 
     @staticmethod
-    def count_encodings(monkeypatch):
-        """The ids of the terms whose canonical text is built, in order."""
-        encoded = []
-        build = Term.canonical_text.func
-        counted = cached_property(lambda term: encoded.append(term.id) or build(term))
-        counted.__set_name__(Term, "canonical_text")
-        monkeypatch.setattr(Term, "canonical_text", counted)
-        return encoded
+    def count_work(monkeypatch):
+        """Counts of the JSON values decoded (json's raw_decode, which
+        json.loads also calls) and of the terms encoded (_term_to_dict)."""
+        counts = {"decoded": 0, "encoded": 0}
+        raw_decode, term_to_dict = json.JSONDecoder.raw_decode, onto._term_to_dict
+
+        def decoding(decoder, text, idx=0):
+            counts["decoded"] += 1
+            return raw_decode(decoder, text, idx)
+
+        def encoding(term):
+            counts["encoded"] += 1
+            return term_to_dict(term)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", decoding)
+        monkeypatch.setattr(onto, "_term_to_dict", encoding)
+        return counts
+
+    def test_start_up_encodes_nothing(self, tmp_path, monkeypatch):
+        fixture_data_dir(tmp_path)
+        counts = self.count_work(monkeypatch)
+        make_state(tmp_path)
+        assert counts == {"decoded": len(PORTION_FILES) + 1, "encoded": 0}  # one per file
 
     def test_a_one_edit_put_encodes_one_term(self, tmp_path, monkeypatch):
-        fixture_data_dir(tmp_path)
-        state = make_state(tmp_path)
-        encoded = self.count_encodings(monkeypatch)
-        first = self.one_edit(state)
-        state.put_portion(first)
-        # Start-up encoded nothing: the load encodes each held term, in id
-        # order, to match the body against, and the put the edited term.
-        edited = sorted(first.terms, key=str)[0]
-        assert encoded == [*sorted(first.terms, key=str), edited]
-        encoded.clear()
-        second = self.one_edit(state)
-        state.put_portion(second)
-        assert encoded == [edited]
-        monkeypatch.undo()
-        stored = (tmp_path / "data" / "portions" / "math.en.json").read_bytes()
-        reference = json.dumps(onto.portion_to_dict(second), ensure_ascii=False) + "\n"
-        assert stored == reference.encode()
+        """The same counts for a 20-term and a 2,000-term held portion, for
+        an edit in the middle and one at the start."""
+        for size in (20, 2000):
+            state = make_state(tmp_path / str(size))
+            terms = [Term(TermId(f"math#t{i:04}"), f"term {i}") for i in range(size)]
+            state.put_portion(onto.add_terms(onto.create_portion("math", "en"), terms))
+            for at in (size // 2, 0):
+                held = state.snapshot().ontology.portions[("math", "en")]
+                body = self.one_edit(held, at)
+                with monkeypatch.context() as patched:
+                    counts = self.count_work(patched)
+                    state.put_portion(load_portion(body, base=held))
+                    assert (size, counts) == (size, {"decoded": 1, "encoded": 1})
+                    # What GET /portions sends: the bytes the put wrote.
+                    sent = onto.save_portion(state.snapshot().ontology.portions[("math", "en")])
+                    assert counts == {"decoded": 1, "encoded": 1}
+                stored = (tmp_path / str(size) / "data" / "portions" / "math.en.json").read_bytes()
+                assert stored == sent == body + b"\n"
 
     def test_set_portion_walks_no_link_unless_a_term_is_dropped(self, tmp_path):
         fixture_data_dir(tmp_path)

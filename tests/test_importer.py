@@ -192,6 +192,16 @@ class TestImport:
             with pytest.raises(ValidationFailed):
                 import_portion(repo, "math", "fr", empty_store())
 
+    def test_a_long_integer_fails_validation(self, tmp_path):
+        root = copy_repo(tmp_path)
+        path = root / "portions" / "math.fr.json"
+        doc = json.loads(path.read_text("utf-8"))
+        path.write_text(json.dumps(doc).replace(f'"version": {doc["version"]}',
+                                                '"version": 1' + "0" * 5000))
+        with serve_dir(root) as repo:
+            with pytest.raises(ValidationFailed, match="not valid JSON"):
+                import_portion(repo, "math", "fr", empty_store())
+
     def test_missing_alignment_file_is_fine(self, tmp_path):
         root = copy_repo(tmp_path)
         (root / "alignments" / "math.json").unlink()

@@ -626,8 +626,10 @@ class TestSerializer:
     def test_save_equals_the_reference_encoding(self, portion, data):
         body = save_portion(portion)
         assert body == reference_encoding(portion)
-        # A load over the portion keeps its terms, now carrying encodings.
-        assert save_portion(load_portion(body, base=portion)) == body
+        # A load of the portion's own bytes over it splices them back.
+        again = load_portion(body, base=portion)
+        assert "saved" in vars(again)
+        assert save_portion(again) == body
         doc = json.loads(body)
         term = doc["terms"][data.draw(st.integers(0, len(doc["terms"]) - 1))]
         term["alt_labels"].append(data.draw(_hard_label))
@@ -651,8 +653,11 @@ def load_outcome(load):
 _EDITS = (
     "relabel", "add-alt", "remove-alt", "add-term", "remove-term", "add-edge",
     "remove-edge", "break-back-edge", "cycle", "empty-label", "duplicate-id",
-    "move-term", "version", "bad-field",
+    "move-term", "version", "bad-field", "first-and-last", "far-apart", "adjacent",
+    "next-version",
 )
+# Label texts that look like the layout json gives the terms around them.
+_LAYOUT_LABELS = st.sampled_from(['{"id": "', '", {"id": "', "trailing\\", "\\", '"]}'])
 _EMPTY_LABELS = [" ", "\t", "\u0640", "\u064e"]
 _INVERSE_KIND = {"broader": "narrower", "narrower": "broader"}
 
@@ -660,11 +665,16 @@ _INVERSE_KIND = {"broader": "narrower", "narrower": "broader"}
 @st.composite
 def edited_bodies(draw):
     """(base, body): a sound base and its canonical document after one to
-    three random edits, which may leave the document unsound."""
+    three random edits, which may leave the document unsound. The base may
+    be at version 9 or 99, so that the next version gains a digit, and may
+    hold a label that looks like the layout around it."""
     base = draw(portions() | labelled_portions())
+    base = replace(base, version=draw(st.sampled_from([base.version, 9, 99])))
+    if draw(st.booleans()):
+        base = add_label(base, draw(st.sampled_from(sorted(base.terms))), draw(_LAYOUT_LABELS))
     doc = json.loads(save_portion(base))
     terms = doc["terms"]
-    label = _label | _index_label
+    label = _label | _index_label | _LAYOUT_LABELS
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(_EDITS))
         if edit == "add-term" or not terms:
@@ -674,7 +684,7 @@ def edited_bodies(draw):
                 for kind in draw(st.lists(st.sampled_from(RELATION_KINDS), max_size=2))
             ]
             new = {
-                "id": draw(st.sampled_from(["dom#new", "dom#t3", "other#x"])),
+                "id": draw(st.sampled_from(["dom#new", "dom#t3", "dom#z", "other#x"])),
                 "preferred_label": draw(label),
                 "alt_labels": draw(st.lists(label, max_size=2)),
                 "definition": draw(st.none() | label),
@@ -688,9 +698,20 @@ def edited_bodies(draw):
                             t["relations"].append({"kind": inverse, "target": new["id"]})
             terms.insert(draw(st.integers(0, len(terms))), new)
             continue
-        term = terms[draw(st.integers(0, len(terms) - 1))]
+        at = draw(st.integers(0, len(terms) - 1))
+        term = terms[at]
         other = terms[draw(st.integers(0, len(terms) - 1))]
-        if edit == "relabel":
+        pair = {
+            "first-and-last": (0, -1),
+            "far-apart": (at, (at + len(terms) // 2) % len(terms)),
+            "adjacent": (at, (at + 1) % len(terms)),
+        }.get(edit)
+        if pair:
+            for i in pair:
+                terms[i]["preferred_label"] = draw(label)
+        elif edit == "next-version":
+            doc["version"] += 1
+        elif edit == "relabel":
             term["preferred_label"] = draw(label)
         elif edit == "add-alt":
             term["alt_labels"].append(draw(label | st.sampled_from(term["alt_labels"] or [""])))
@@ -814,7 +835,9 @@ class TestLoadOverBase:
         assert fast == load_outcome(lambda: load_portion(body))
         assert base.label_index is index
         assert index == replace(base).label_index  # the patch left the base alone
+        assert save_portion(base) == reference_encoding(base)
         if isinstance(fast[0], OntologyPortion):
+            assert save_portion(fast[0]) == reference_encoding(fast[0])
             assert fast[1] is not index
             if with_tokens:
                 assert fast[0].term_tokens == load_portion(body).term_tokens
@@ -882,6 +905,39 @@ class TestLoadOverBase:
             "portion is structurally invalid: version[]: version 0 must be >= 1"
         )
 
+    @pytest.mark.parametrize("version", [1, 9, 99])
+    def test_a_new_version_alone_decodes_nothing(self, version):
+        base = replace(small_portion(), version=version)
+        body = self.edited(base, lambda doc: doc.update(version=version + 1))
+        assert ontology._diff_held(body, base).entries == []
+        portion = load_portion(body, base=base)
+        assert all(portion.terms[tid] is term for tid, term in base.terms.items())
+        assert "saved" in vars(portion)
+        assert save_portion(portion) == reference_encoding(portion)
+
+    @pytest.mark.parametrize("at, local", [(0, "a"), (1, "p"), (3, "z")])
+    def test_an_added_term_is_decoded_and_spliced(self, at, local):
+        base = small_portion()  # operation, root_finding, square_root
+        added = {"id": f"math#{local}", "preferred_label": "new", "alt_labels": [],
+                 "definition": None, "relations": []}
+        body = self.edited(base, lambda doc: doc["terms"].insert(at, added))
+        assert ontology._diff_held(body, base).entries == [added]
+        portion = load_portion(body, base=base)
+        assert "saved" in vars(portion)
+        assert save_portion(portion) == reference_encoding(portion)
+        assert json.loads(save_portion(portion))["terms"][at] == added
+
+    def test_edits_out_of_id_order_take_a_full_encode(self):
+        base = small_portion()
+
+        def swap(doc):
+            doc["terms"][0], doc["terms"][2] = doc["terms"][2], doc["terms"][0]
+
+        portion = load_portion(self.edited(base, swap), base=base)
+        assert "saved" not in vars(portion)
+        assert portion == base
+        assert save_portion(portion) == reference_encoding(portion)
+
     def test_base_of_another_pair_is_ignored(self):
         en = small_portion("en")
         body = self.edited(en, lambda doc: doc.update(language="fr"))
@@ -889,10 +945,14 @@ class TestLoadOverBase:
 
     def test_a_label_holding_escape_text_is_scanned_not_decoded(self):
         term = Term(TermId("math#back"), "back\\ud800slash")
-        base = add_terms(create_portion("math", "en"), [term])
+        base = add_terms(create_portion("math", "en"), [term, Term(TermId("math#next"), "n")])
         body = save_portion(base)
         assert b'"back\\\\ud800slash"' in body  # an escaped backslash, then text
-        assert ontology._scan_terms(body, base) == (base.version, [term])
+        # Held around the span, or decoded in it, the text is no escape.
+        for edited, decoded in ((1, "math#next"), (0, "math#back")):
+            alt = self.edited(base, lambda doc: doc["terms"][edited]["alt_labels"].append("x"))
+            diff = ontology._diff_held(alt, base)
+            assert [entry["id"] for entry in diff.entries] == [decoded]
         # An escaped backslash, then a lone surrogate escape.
         bad = body.replace(b"back\\\\ud800", b"back\\\\\\ud800")
         for load in (lambda: load_portion(bad, base=base), lambda: load_portion(bad)):

@@ -2,6 +2,7 @@ import errno
 import http.client
 import json
 import logging
+import re
 import socket
 import string
 import threading
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfind.config import ServerConfig
-from polyfind.httpserver import ApiHandler, make_server
+from polyfind.errors import SchemaViolation
+from polyfind.httpserver import _MAX_BODY, ApiHandler, _read_body, make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.ontology import (
     Relation,
@@ -598,6 +600,62 @@ class TestDeepNesting:
         assert (status, doc["error"]) == (400, error)
         assert "nested too deeply" in doc["detail"]
         assert request(api, "GET", "/health")[0] == 200
+
+
+class TestLongIntegers:
+    """An integer with more digits than Python converts (4,300 by default,
+    sys.get_int_max_str_digits) is not valid JSON to the server: each JSON
+    route answers 400, and the server answers the next request."""
+
+    DIGITS = "1" * 5000
+
+    @pytest.mark.parametrize("method, path, body, error", [
+        ("POST", "/discover", '{"text": %s, "domain": "math", "requester_id": "a"}',
+         "SchemaViolation"),
+        ("POST", "/bind", '{"service_id": %s, "requester_id": "a"}', "SchemaViolation"),
+        ("PUT", "/portions/math/en", '{"version": %s}', "MalformedDocument"),
+        ("POST", "/ontology/import", '{"repo": %s, "domain": "math", "language": "en"}',
+         "SchemaViolation"),
+    ], ids=["discover", "bind", "put_portion", "import"])
+    def test_answers_400(self, api, method, path, body, error):
+        status, doc = request(api, method, path, (body % self.DIGITS).encode())
+        assert (status, doc["error"]) == (400, error)
+        assert "not valid JSON" in doc["detail"]
+        assert request(api, "GET", "/health")[0] == 200
+
+    def test_put_in_get_layout_answers_400(self, api):
+        status, body = exchange(api, "GET", "/portions/math/en")
+        assert status == 200
+        long = re.sub(rb'"version": [0-9]+', f'"version": {self.DIGITS}'.encode(), body, 1)
+        status, doc = request(api, "PUT", "/portions/math/en", long)
+        assert (status, doc["error"]) == (400, "MalformedDocument")
+        assert exchange(api, "GET", "/portions/math/en") == (200, body)
+
+
+class TestBodyLimit:
+    """_read_body reads a body of _MAX_BODY bytes and refuses one byte
+    more before reading any, seen through a stub handler."""
+
+    class Stub:
+        def __init__(self, length):
+            self.headers = {"Content-Length": str(length)}
+            self.rfile = self
+            self.reads = []
+
+        def read(self, size):
+            self.reads.append(size)
+            return b""
+
+    def test_reads_up_to_the_limit(self):
+        at = self.Stub(_MAX_BODY)
+        assert _read_body(at) == b""
+        assert at.reads == [_MAX_BODY]
+
+    def test_refuses_one_byte_more_unread(self):
+        over = self.Stub(_MAX_BODY + 1)
+        with pytest.raises(SchemaViolation, match="too large"):
+            _read_body(over)
+        assert over.reads == []
 
 
 # --- no route answers 500 ---

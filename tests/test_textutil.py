@@ -1,5 +1,6 @@
 import json
 import string
+import sys
 import unicodedata
 
 import pytest
@@ -245,6 +246,12 @@ class TestLoadJson:
         # A paired escape: a walk that finds no lone surrogate.
         assert load_json(b'["\\ud83d\\ude00"]') == ["\U0001f600"]
         assert walks == [1]
+
+    def test_an_integer_past_the_digit_limit_is_malformed(self):
+        limit = sys.get_int_max_str_digits()
+        assert load_json(f"[{'9' * limit}]".encode()) == [int("9" * limit)]
+        with pytest.raises(MalformedDocument, match="not valid JSON.*digits"):
+            load_json(f'{{"n": [{"9" * (limit + 1)}]}}'.encode())
 
     @given(BACKSLASHED_TEXT)
     @example("back\\ud800slash")
