@@ -36,7 +36,7 @@ def _call(server: str, method: str, path: str, body=None, content_type="applicat
         request.add_header("Content-Type", content_type)
     try:
         with urllib.request.urlopen(request) as response:
-            return json.loads(response.read().decode("utf-8"))
+            raw = response.read()
     except urllib.error.HTTPError as exc:
         try:
             payload = json.loads(exc.read().decode("utf-8"))
@@ -45,6 +45,10 @@ def _call(server: str, method: str, path: str, body=None, content_type="applicat
         raise CliError(f"{payload.get('error')}: {payload.get('detail')}") from exc
     except urllib.error.URLError as exc:
         raise CliError(f"cannot reach server at {server}: {exc.reason}") from exc
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CliError(f"server at {server} answered with a body that is not UTF-8 JSON") from exc
 
 
 # --- server ---

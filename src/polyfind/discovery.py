@@ -72,7 +72,7 @@ def _token_sources(
     store: OntologyStore,
 ) -> dict[str, list[_TokenSource]]:
     """For one registry language, every searchable token with where it came
-    from: a term's words are the ones its portion keeps (term_tokens). Every
+    from: a term's words are the ones the held Term keeps (Term.words). Every
     term and path target is held, as the store keeps no link to a lost term."""
     sources: dict[str, list[_TokenSource]] = {}
     for keyword in raw_keywords:
@@ -84,7 +84,7 @@ def _token_sources(
         else:
             reached = [(path.target, path) for path in translate(ref, target_lang, store)]
         for target, path in reached:
-            words = store.portions[target.term.domain, target.lang].term_tokens[target.term]
+            words = store.portions[target.term.domain, target.lang].terms[target.term].words
             if path is None:
                 source = _TokenSource(term, term, None, 1.0, ())
             else:

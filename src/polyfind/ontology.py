@@ -96,6 +96,12 @@ class Term:
     def labels(self) -> tuple[str, ...]:
         return (self.preferred_label, *self.alt_labels)
 
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        """The distinct words of the term's labels, first seen first; split
+        on first use."""
+        return tuple(dict.fromkeys(word for label in self.labels() for word in split_words(label)))
+
 
 @dataclass(frozen=True)
 class OntologyPortion:
@@ -127,20 +133,10 @@ class OntologyPortion:
         return {key: tuple(ids) for key, ids in index.items()}
 
     @cached_property
-    def term_tokens(self) -> dict[TermId, tuple[str, ...]]:
-        """Term id -> the distinct words of its labels, first seen first;
-        built on first use."""
-        return {tid: _label_words(term) for tid, term in self.terms.items()}
-
-    @cached_property
     def saved(self) -> bytes:
         """save_portion's bytes, built on first use. A portion loaded over
         a base gets them spliced from the base's instead (load_portion)."""
         return (json.dumps(portion_to_dict(self), ensure_ascii=False) + "\n").encode()
-
-
-def _label_words(term: Term) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(word for label in term.labels() for word in split_words(label)))
 
 
 def _label_keys(term: Term) -> set[str]:
@@ -210,8 +206,7 @@ def add_label(portion: OntologyPortion, term_id: TermId, label: str) -> Ontology
     term = portion.terms.get(term_id)
     if term is None:
         raise UnknownTerm(f"no term {term_id} in {portion.domain}.{portion.language}")
-    key = normalize_text(label)
-    if any(normalize_text(existing) == key for existing in term.labels()):
+    if normalize_text(label) in _label_keys(term):
         return portion
     new_term = replace(term, alt_labels=term.alt_labels + (label,))
     return replace(
@@ -635,15 +630,9 @@ def _rebased(
         _check_term(domain, terms, tid, out)
     if out or (broader_changed and _broader_sccs(terms)):
         return OntologyPortion(domain, language, version, terms)
-    # The cached_property slots, patched over the base's.
-    built = {"label_index": _patched_index(base, changed)}
-    if "term_tokens" in vars(base):
-        built["term_tokens"] = {
-            **base.term_tokens, **{term.id: _label_words(term) for term in changed}
-        }
     return _checked(
         OntologyPortion, domain=domain, language=language, version=version, terms=terms,
-        **built,
+        label_index=_patched_index(base, changed),  # the cached_property slot
     )
 
 

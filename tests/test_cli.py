@@ -1,3 +1,4 @@
+import http.server
 import json
 import os
 import sys
@@ -11,7 +12,9 @@ from polyfind.httpserver import make_server
 from polyfind.importer import RemoteRepoRef
 from polyfind.ontology import load_alignments, load_portion
 
-from conftest import ALIGNMENT_FILE, DESCRIPTOR_FILES, HELDOUT_DIR, PORTION_FILES, run_in_thread
+from conftest import (
+    ALIGNMENT_FILE, DESCRIPTOR_FILES, HELDOUT_DIR, PORTION_FILES, _serve_repo, run_in_thread,
+)
 
 AR_TEXT = "الجذر التربيعي"
 
@@ -303,6 +306,29 @@ class TestClientCommands:
             "bind", "s-000001", "--server", "http://127.0.0.1:1",
         ]) == 1
         assert "cannot reach server" in capsys.readouterr().err
+
+
+class _NotJsonHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every request 200 with the server's `body`."""
+
+    def do_POST(self):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.mark.parametrize("body", [b"<html>", b"\xff\xfe{}"], ids=["not-json", "not-utf-8"])
+def test_a_2xx_body_that_is_not_utf8_json_is_a_cli_error(body, capsys):
+    with _serve_repo(_NotJsonHandler) as (url, httpd):
+        httpd.body = body
+        assert main(["bind", "s-000001", "--server", url]) == 1
+    assert capsys.readouterr().err == (
+        f"error: server at {url} answered with a body that is not UTF-8 JSON\n"
+    )
 
 
 class TestImportCommand:

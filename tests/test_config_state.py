@@ -746,8 +746,10 @@ class TestWriterBuildsIndexes:
     def assert_indexes_built(self, state, monkeypatch):
         store = state.snapshot().ontology
         assert "label_index" in vars(store.portions[("math", "en")])
-        assert all("term_tokens" in vars(p) for p in store.portions.values())
         assert "adjacency" in vars(store)
+        for portion in store.portions.values():  # a term's words fill on its first query
+            for term in portion.terms.values():
+                term.words
         first = discover_counting_normalize(monkeypatch, state, self.QUERY)
         assert first[1].results
         assert first == discover_counting_normalize(monkeypatch, state, self.QUERY)
@@ -798,8 +800,8 @@ class CountedLinks(Mapping):
 
 class TestPutCost:
     """What a put pays, counted rather than timed: the JSON values it
-    decodes, the terms it encodes, and whether set_portion walks the
-    alignment links."""
+    decodes, the terms it encodes, the labels it splits into words, and
+    whether set_portion walks the alignment links."""
 
     @staticmethod
     def one_edit(held, at):
@@ -813,9 +815,11 @@ class TestPutCost:
     @staticmethod
     def count_work(monkeypatch):
         """Counts of the JSON values decoded (json's raw_decode, which
-        json.loads also calls) and of the terms encoded (_term_to_dict)."""
-        counts = {"decoded": 0, "encoded": 0}
+        json.loads also calls), of the terms encoded (_term_to_dict) and of
+        the labels split into words (split_words, as ontology calls it)."""
+        counts = {"decoded": 0, "encoded": 0, "split": 0}
         raw_decode, term_to_dict = json.JSONDecoder.raw_decode, onto._term_to_dict
+        split_words = onto.split_words
 
         def decoding(decoder, text, idx=0):
             counts["decoded"] += 1
@@ -825,33 +829,43 @@ class TestPutCost:
             counts["encoded"] += 1
             return term_to_dict(term)
 
+        def splitting(text):
+            counts["split"] += 1
+            return split_words(text)
+
         monkeypatch.setattr(json.JSONDecoder, "raw_decode", decoding)
         monkeypatch.setattr(onto, "_term_to_dict", encoding)
+        monkeypatch.setattr(onto, "split_words", splitting)
         return counts
 
     def test_start_up_encodes_nothing(self, tmp_path, monkeypatch):
         fixture_data_dir(tmp_path)
         counts = self.count_work(monkeypatch)
         make_state(tmp_path)
-        assert counts == {"decoded": len(PORTION_FILES) + 1, "encoded": 0}  # one per file
+        # One decode per file.
+        assert counts == {"decoded": len(PORTION_FILES) + 1, "encoded": 0, "split": 0}
 
     def test_a_one_edit_put_encodes_one_term(self, tmp_path, monkeypatch):
         """The same counts for a 20-term and a 2,000-term held portion, for
-        an edit in the middle and one at the start."""
+        the first put after a restart, an edit in the middle, and a later
+        one at the start; no put splits a label."""
         for size in (20, 2000):
-            state = make_state(tmp_path / str(size))
-            terms = [Term(TermId(f"math#t{i:04}"), f"term {i}") for i in range(size)]
-            state.put_portion(onto.add_terms(onto.create_portion("math", "en"), terms))
+            make_state(tmp_path / str(size)).put_portion(onto.add_terms(
+                onto.create_portion("math", "en"),
+                [Term(TermId(f"math#t{i:04}"), f"term {i}") for i in range(size)],
+            ))
+            state = make_state(tmp_path / str(size))  # a restart over the written portion
             for at in (size // 2, 0):
                 held = state.snapshot().ontology.portions[("math", "en")]
                 body = self.one_edit(held, at)
                 with monkeypatch.context() as patched:
                     counts = self.count_work(patched)
                     state.put_portion(load_portion(body, base=held))
-                    assert (size, counts) == (size, {"decoded": 1, "encoded": 1})
+                    expected = {"decoded": 1, "encoded": 1, "split": 0}
+                    assert (size, at, counts) == (size, at, expected)
                     # What GET /portions sends: the bytes the put wrote.
                     sent = onto.save_portion(state.snapshot().ontology.portions[("math", "en")])
-                    assert counts == {"decoded": 1, "encoded": 1}
+                    assert counts == expected
                 stored = (tmp_path / str(size) / "data" / "portions" / "math.en.json").read_bytes()
                 assert stored == sent == body + b"\n"
 

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -373,3 +376,44 @@ class TestAgainstTheOracle:
         assert all(
             math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got_scores, want_scores)
         )
+
+
+class TestTermWordsFilledAtOnce:
+    """A term's words fill on its first query (Term.words)."""
+
+    def test_readers_filling_them_at_once_agree_with_one_reader(self, registry):
+        registry_store, _ = registry
+        queries = [
+            (label, lang)
+            for (_, lang), portion in load_fixture_ontology().portions.items()
+            for term in portion.terms.values()
+            for label in term.labels()
+        ]
+        once = load_fixture_ontology()
+        expected = {
+            query: response_to_dict(run(query[0], once, registry_store, declared_language=query[1]))
+            for query in queries
+        }
+        ontology = load_fixture_ontology()  # no term has split its labels yet
+        wrong = []
+
+        def reader(order):
+            for text, lang in order:
+                got = response_to_dict(run(text, ontology, registry_store, declared_language=lang))
+                if got != expected[text, lang]:
+                    wrong.append((text, lang))
+
+        orders = [random.Random(i).sample(queries, len(queries)) for i in range(8)]
+        threads = [threading.Thread(target=reader, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert any(entry["results"] for entry in expected.values())

@@ -237,17 +237,13 @@ class TestLabelIndex:
         assert lookup_label_kinds(portion, "radix") == ()
 
 
-class TestTermTokens:
+class TestTermWords:
     def test_distinct_words_of_every_label_first_seen_first(self):
         sq, rf = TermId("math#sq"), TermId("math#rf")
-        portion = add_terms(create_portion("math", "en"), [
-            Term(sq, "Square Root", ("squareRoot", "root of X", "الجَذر")),
-            Term(rf, "root_finding"),
-        ])
-        assert portion.term_tokens == {
-            sq: ("square", "root", "of", "x", "الجذر"),
-            rf: ("root", "finding"),
-        }
+        assert Term(sq, "Square Root", ("squareRoot", "root of X", "الجَذر")).words == (
+            "square", "root", "of", "x", "الجذر"
+        )
+        assert Term(rf, "root_finding").words == ("root", "finding")
 
 
 def structural_error(build) -> str:
@@ -821,16 +817,20 @@ def relaid_bodies(draw):
     return base, _LAYOUTS[layout](doc, draw(st.integers(0, 9))).encode()
 
 
+def term_words(portion: OntologyPortion) -> dict:
+    return {tid: term.words for tid, term in portion.terms.items()}
+
+
 class TestLoadOverBase:
-    """load_portion(body, base=...) reuses the base's unchanged terms and
-    patches its label index, and its term tokens when the base's were built;
+    """load_portion(body, base=...) reuses the base's unchanged terms, with
+    the words they have built, and patches its label index;
     load_portion(body) is the definition."""
 
     @given(edited_bodies() | relaid_bodies(), st.booleans())
-    def test_equals_a_full_load(self, case, with_tokens):
+    def test_equals_a_full_load(self, case, with_words):
         base, body = case
         index = base.label_index  # built, as for every portion a server holds
-        tokens = base.term_tokens if with_tokens else None  # built after the first put
+        words = term_words(base) if with_words else {}  # as queries have reached them
         fast = load_outcome(lambda: load_portion(body, base=base))
         assert fast == load_outcome(lambda: load_portion(body))
         assert base.label_index is index
@@ -839,11 +839,8 @@ class TestLoadOverBase:
         if isinstance(fast[0], OntologyPortion):
             assert save_portion(fast[0]) == reference_encoding(fast[0])
             assert fast[1] is not index
-            if with_tokens:
-                assert fast[0].term_tokens == load_portion(body).term_tokens
-        if with_tokens:
-            assert base.term_tokens is tokens
-            assert tokens == replace(base).term_tokens
+            assert term_words(fast[0]) == term_words(load_portion(body))
+        assert all(base.terms[tid].words is built for tid, built in words.items())
 
     @staticmethod
     def edited(portion, edit):
@@ -862,18 +859,22 @@ class TestLoadOverBase:
 
     def test_an_edit_reuses_the_other_terms_and_patches_the_index(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())
-        base.label_index, base.term_tokens
+        words = term_words(base)
         body = self.edited(base, lambda doc: doc["terms"][0]["alt_labels"].append("Radix"))
         calls = self.count_validations(monkeypatch)
         portion = load_portion(body, base=base)
         assert calls == []
         changed = [tid for tid in portion.terms if portion.terms[tid] is not base.terms[tid]]
         assert changed == [sorted(base.terms, key=str)[0]]
-        assert "label_index" in vars(portion) and "term_tokens" in vars(portion)
+        assert "label_index" in vars(portion)
+        for tid, term in portion.terms.items():
+            if tid not in changed:  # the base's own Term, with the words it built
+                assert term is base.terms[tid] and "words" in vars(term)
+                assert term.words is words[tid]
         assert lookup_label_kinds(portion, "radix") == (changed[0],)
-        assert portion.term_tokens[changed[0]][-1] == "radix"
+        assert portion.terms[changed[0]].words[-1] == "radix"
         assert (portion, portion.label_index) == load_outcome(lambda: load_portion(body))
-        assert portion.term_tokens == load_portion(body).term_tokens
+        assert term_words(portion) == term_words(load_portion(body))
 
     def test_a_dropped_term_takes_the_full_check(self, monkeypatch):
         base = load_portion(PORTION_FILES[1].read_bytes())
