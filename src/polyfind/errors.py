@@ -162,6 +162,7 @@ class ConfigError(PolyfindError):
 
 
 class StartupError(PolyfindError):
-    """Persisted state under data_dir is unreadable or inconsistent."""
+    """The server cannot start: persisted state under data_dir is unreadable
+    or inconsistent, or data_dir or the listen address cannot be used."""
 
     http_status = 500

@@ -21,7 +21,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from .config import ServerConfig
 from .descriptor import descriptor_to_dict
 from .discovery import Query, response_to_dict
-from .errors import MalformedDocument, PolyfindError, PortionNotFound, SchemaViolation
+from .errors import (
+    MalformedDocument, PolyfindError, PortionNotFound, SchemaViolation, StartupError,
+)
 from .ontology import load_portion, save_portion
 from .registry import get as registry_get
 from .state import AppState
@@ -230,12 +232,13 @@ class ApiServer(HTTPServer):
     request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], app: AppState):
-        super().__init__(address, ApiHandler)
         self.app = app
         self._lock = threading.Lock()
         self._waiting = 0  # workers in accept(); guarded by _lock
+        # Set before binding: a bind that fails calls server_close().
         self._stopping = threading.Event()
         self._stopped = threading.Event()
+        super().__init__(address, ApiHandler)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Start the first worker and block until shutdown().
@@ -303,5 +306,7 @@ class ApiServer(HTTPServer):
 def make_server(config: ServerConfig) -> ApiServer:
     """Build state and bind the listening socket; port 0 picks a free port."""
     app = AppState(config)
-    server = ApiServer((config.host, config.port), app)
-    return server
+    try:
+        return ApiServer((config.host, config.port), app)
+    except OSError as exc:
+        raise StartupError(f"cannot listen on {config.host}:{config.port}: {exc}") from exc

@@ -530,20 +530,21 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
     holds for the same (domain, language), only saves work: the result, or
     the error, is the one load_portion(data) gives. A body laid out as
     save_portion writes it is decoded only where its bytes differ from the
-    base's (_diff_held), reusing the Term of every held term around that
-    span, and every decoded entry counts as changed; see _rebased for the
-    rest. The result's saved bytes are then spliced (_spliced). Any other
-    body is loaded in full, the base ignored. The constructor's error for a
-    bad version, domain or language passes through."""
+    base's (_diff_held): the result's terms are a copy of the base's, less
+    the held terms of that span, with every decoded entry added as changed;
+    see _rebased for the rest. An entry that repeats an id already there
+    sends the body to the full load. The result's saved bytes are then
+    spliced (_spliced). Any other body is loaded in full, the base ignored.
+    The constructor's error for a bad version, domain or language passes
+    through."""
     diff = None if base is None else _diff_held(data, base)
     if diff is None:
         doc = check_fields(load_json(data), "$", _PORTION_FIELDS, {})
-        domain, language, version = doc["domain"], doc["language"], doc["version"]
-        order, before, after, entries = [], [], [], doc["terms"]
+        order, first, entries, terms = [], 0, doc["terms"], {}
     else:
-        domain, language, version, order = base.domain, base.language, diff.version, diff.order
-        before, after, entries = order[:diff.before], order[diff.after:], diff.entries
-    terms: dict[TermId, Term] = {tid: base.terms[tid] for tid in before}
+        order, first, entries, terms = diff.order, diff.before, diff.entries, dict(base.terms)
+        for tid in order[diff.before:diff.after]:
+            del terms[tid]
     changed: list[Term] = []  # the terms not reused from base
     ids: dict[str, TermId] = {}  # each id text parsed once; targets share the keys
 
@@ -556,11 +557,13 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
             tid = ids[text] = held if held == text else _parse_term_id(text, path)
         return tid
 
-    for i, entry in enumerate(entries, len(before)):
+    for i, entry in enumerate(entries, first):
         path = f"$.terms[{i}]"
         check_fields(entry, path, _TERM_FIELDS, {})
         tid = term_id(entry["id"], f"{path}.id")
         if tid in terms:
+            if diff is not None:
+                return load_portion(data)
             raise SchemaViolation(f"{path}.id", f"duplicate term id {tid}")
         for j, alt in enumerate(entry["alt_labels"]):
             if not isinstance(alt, str):
@@ -582,13 +585,9 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
         )
         terms[tid] = term
         changed.append(term)
-    for i, tid in enumerate(after, len(before) + len(entries)):
-        if tid in terms:
-            raise SchemaViolation(f"$.terms[{i}].id", f"duplicate term id {tid}")
-        terms[tid] = base.terms[tid]
     if diff is None:
-        return OntologyPortion(domain, language, version, terms)
-    portion = _rebased(base, domain, language, version, terms, changed)
+        return OntologyPortion(doc["domain"], doc["language"], doc["version"], terms)
+    portion = _rebased(base, diff.version, terms, changed)
     spliced = _spliced(data, diff, changed)
     if spliced is not None:
         vars(portion)["saved"] = spliced  # the cached_property slot
@@ -596,23 +595,21 @@ def load_portion(data: bytes, base: OntologyPortion | None = None) -> OntologyPo
 
 
 def _rebased(
-    base: OntologyPortion,
-    domain: str,
-    language: str,
-    version: int,
-    terms: dict[TermId, Term],
-    changed: list[Term],
+    base: OntologyPortion, version: int, terms: dict[TermId, Term], changed: list[Term]
 ) -> OntologyPortion:
-    """The portion of `terms`: the base's terms, unchanged but for `changed`.
+    """The portion of base's domain and language at `version`, a version
+    _VERSION_RE admits and so >= 1, holding `terms`: the base's terms,
+    unchanged but for `changed`.
 
     When every base term is kept, the unchanged ones passed every rule in
     base, and only a changed term can break one for them: its own relations,
     or a back-edge that one of its base broader/narrower neighbours relies
     on. The broader graph differs from the base's, which has no cycle, only
     if a broader edge changed. A dropped term, which any term may have named,
-    a version below 1 or a violation found here goes to the full check."""
+    or a violation found here goes to the full check."""
+    domain, language = base.domain, base.language
     kept = len(terms) - len(changed) + sum(term.id in base.terms for term in changed)
-    if version < 1 or kept < len(base.terms):
+    if kept < len(base.terms):
         return OntologyPortion(domain, language, version, terms)
     check = set()
     broader_changed = False

@@ -162,7 +162,10 @@ class AppState:
     def __init__(self, config: ServerConfig):
         self.config = config
         self.data_dir = Path(config.data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.data_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StartupError(f"cannot create data_dir {self.data_dir}: {exc}") from exc
         profile_dir = config.profile_dir or packaged_corpora_dir()
         try:
             self.profiles: tuple[TrigramProfile, ...] = tuple(load_profiles(profile_dir))

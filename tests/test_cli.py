@@ -1,6 +1,7 @@
 import http.server
 import json
 import os
+import socket
 import sys
 import types
 
@@ -331,6 +332,27 @@ def test_a_2xx_body_that_is_not_utf8_json_is_a_cli_error(body, capsys):
     )
 
 
+class _BadGatewayHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every request as a proxy does whose upstream is down."""
+
+    def do_POST(self):
+        body = b"<html><body>502 Bad Gateway</body></html>"
+        self.send_response(502)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_an_error_body_that_is_not_json_is_a_cli_error(capsys):
+    with _serve_repo(_BadGatewayHandler) as (url, _):
+        assert main(["bind", "s-000001", "--server", url]) == 1
+    assert capsys.readouterr().err == "error: HTTP 502: Bad Gateway\n"
+
+
 class TestImportCommand:
     @pytest.fixture()
     def import_server_url(self, tmp_path, repo_server):
@@ -390,3 +412,27 @@ class TestUsageAndServe:
     def test_serve_with_bad_config(self, tmp_path, capsys):
         assert main(["serve", "--config", str(tmp_path / "absent.json")]) == 1
         assert "error: ConfigError" in capsys.readouterr().err
+
+    def test_serve_on_a_busy_port_is_a_startup_error(self, tmp_path, capsys):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(
+                {"listen": f"127.0.0.1:{port}", "data_dir": str(tmp_path / "data")}
+            ))
+            assert main(["serve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: StartupError: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in err
+
+    def test_serve_with_a_file_as_data_dir_is_a_startup_error(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.write_text("not a directory")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"listen": "127.0.0.1:0", "data_dir": str(data_dir)}))
+        assert main(["serve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: StartupError: cannot create data_dir {data_dir}: ")
+        assert "Traceback" not in err

@@ -769,7 +769,9 @@ def _canonical(doc):
 
 
 def _version(text):
-    return lambda doc, n: re.sub(r'"version": -?\d+', f'"version": {text}', _canonical(doc), 1)
+    return lambda doc, n: re.sub(
+        r'"version": -?\d+', f'"version": {text}', _canonical(doc), count=1
+    )
 
 
 # Other layouts of a document, each a function of the document and a number
@@ -938,6 +940,48 @@ class TestLoadOverBase:
         assert "saved" not in vars(portion)
         assert portion == base
         assert save_portion(portion) == reference_encoding(portion)
+
+    @staticmethod
+    def laid_out(layout, changes):
+        """(base, body): math.en's portion and its saved body with the terms
+        written as `layout`, a format string over t0-t4, the texts of its five
+        terms in id order (negative_number, number, operation, root_finding,
+        square_root), term i's document updated with changes[i]."""
+        base = load_portion(PORTION_FILES[1].read_bytes())
+        saved = save_portion(base)
+        terms = json.loads(saved)["terms"]
+        for i, fields in changes.items():
+            terms[i].update(fields)
+        texts = {f"t{i}": json.dumps(term, ensure_ascii=False) for i, term in enumerate(terms)}
+        head = saved[:saved.index(b"[") + 1]
+        return base, head + layout.format(**texts).encode() + b"]}\n"
+
+    @pytest.mark.parametrize("layout, changes", [
+        ("{t0}, {t1},{t2}, {t3}, {t4}", {1: {"preferred_label": "numeral"}}),
+        (", {t2}, {t3}, {t4}", {}),
+        ("{t0}, {t1}, {t2}, ", {}),
+        ("{t0}, {t1},{t2}, {t3}, {t4}",
+         {1: {"preferred_label": "numeral"}, 2: {"preferred_label": "arithmetic"}}),
+    ], ids=["changed-comma-held", "only-separator", "trailing-separator", "changed-comma-changed"])
+    def test_a_span_joined_otherwise_is_loaded_in_full(self, layout, changes):
+        base, body = self.laid_out(layout, changes)
+        assert ontology._diff_held(body, base) is None
+        assert load_outcome(lambda: load_portion(body, base=base)) == load_outcome(
+            lambda: load_portion(body)
+        )
+
+    @pytest.mark.parametrize("changes, path, tid", [
+        ({1: {"id": "math#root_finding"}}, "$.terms[3].id", "math#root_finding"),
+        ({3: {"id": "math#number"}}, "$.terms[3].id", "math#number"),
+        ({1: {"preferred_label": "numeral"}, 2: {"id": "math#number"}},
+         "$.terms[2].id", "math#number"),
+    ], ids=["held-after", "held-before", "twice-in-span"])
+    def test_a_repeated_id_refuses_as_a_full_load_does(self, changes, path, tid):
+        base, body = self.laid_out("{t0}, {t1}, {t2}, {t3}, {t4}", changes)
+        assert ontology._diff_held(body, base) is not None
+        fast = load_outcome(lambda: load_portion(body, base=base))
+        assert fast == load_outcome(lambda: load_portion(body))
+        assert fast == ("SchemaViolation", path, f"{path}: duplicate term id {tid}")
 
     def test_base_of_another_pair_is_ignored(self):
         en = small_portion("en")

@@ -626,7 +626,9 @@ class TestLongIntegers:
     def test_put_in_get_layout_answers_400(self, api):
         status, body = exchange(api, "GET", "/portions/math/en")
         assert status == 200
-        long = re.sub(rb'"version": [0-9]+', f'"version": {self.DIGITS}'.encode(), body, 1)
+        long = re.sub(
+            rb'"version": [0-9]+', f'"version": {self.DIGITS}'.encode(), body, count=1
+        )
         status, doc = request(api, "PUT", "/portions/math/en", long)
         assert (status, doc["error"]) == (400, "MalformedDocument")
         assert exchange(api, "GET", "/portions/math/en") == (200, body)
